@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -62,9 +63,9 @@ def _parse_exact_part(raw: Any, where: str) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
-        if raw != int(raw):
+        if not math.isfinite(raw) or raw != int(raw):
             raise InputError(
-                f"{where}: exact mode needs integers or rational strings, got {raw!r}"
+                f"{where}: exact mode needs finite integers or rational strings, got {raw!r}"
             )
         return Fraction(int(raw))
     if isinstance(raw, str):
@@ -76,16 +77,15 @@ def _parse_exact_part(raw: Any, where: str) -> Fraction:
 
 
 def _parse_float_part(raw: Any, where: str) -> float:
-    if isinstance(raw, bool):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise InputError(f"{where}: expected a number")
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
-        try:
-            return float(as_fraction(raw))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: bad number {raw!r}") from exc
-    raise InputError(f"{where}: expected a number")
+    try:
+        value = float(as_fraction(raw)) if isinstance(raw, str) else float(raw)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"{where}: bad number {raw!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"{where}: coefficient parts must be finite, got {raw!r}")
+    return value
 
 
 def _parse_coeff(raw: Any, exact: bool, where: str):
@@ -532,6 +532,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         start = time.perf_counter()
         results = _COMMANDS[args.command](problem, args)
         elapsed = time.perf_counter() - start
+        if args.format == "csv":
+            report = render_csv(_result_rows(args.command, results))
+        else:
+            envelope = {
+                "command": args.command,
+                "inputs": _inputs_echo(args, problem),
+                "results": results,
+                "timing": elapsed if args.timing else None,
+                "version": VERSION,
+            }
+            report = render_json(envelope) + "\n"
     except InputError as exc:
         print(f"expmean: error: {exc}", file=sys.stderr)
         return 2
@@ -541,17 +552,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ExpmeanError as exc:
         print(f"expmean: error: {exc}", file=sys.stderr)
         return 3
-    if args.format == "csv":
-        sys.stdout.write(render_csv(_result_rows(args.command, results)))
-        return 0
-    envelope = {
-        "command": args.command,
-        "inputs": _inputs_echo(args, problem),
-        "results": results,
-        "timing": elapsed if args.timing else None,
-        "version": VERSION,
-    }
-    sys.stdout.write(render_json(envelope) + "\n")
+    sys.stdout.write(report)
     return 0
 
 

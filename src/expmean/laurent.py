@@ -28,7 +28,6 @@ from .meanvalue import constant_term_A
 from .sums import DEFAULT_BASIS, End, ExponentialSum, TWO_PI, exp_sum
 
 _CLUSTER_RADIUS = 1e-7
-_MAX_ITER = 500
 
 
 class LaurentPolynomial:
@@ -89,46 +88,6 @@ def _ordinary_coefficients(p: LaurentPolynomial) -> tuple[list[complex], int]:
     return coeffs, k0
 
 
-def _durand_kerner(coeffs: list[complex]) -> np.ndarray:
-    """All roots of an ordinary polynomial given by ascending coefficients.
-
-    Simultaneous (Weierstrass) iteration; the constant term must be
-    non-zero, which the exponent shift guarantees.
-    """
-    d = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = np.array([c / lead for c in coeffs], dtype=np.complex128)
-    # Cauchy bound on root magnitude gives the starting circle
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    angles = 2.0 * math.pi * np.arange(d) / d + 0.4
-    roots = radius * np.exp(1j * angles)
-
-    powers = np.arange(d + 1)
-    tol = 1e-12 * (1.0 + abs(lead))
-
-    def presidual(zs: np.ndarray) -> np.ndarray:
-        vals = (zs[:, None] ** powers) @ (monic * lead)
-        return np.abs(vals)
-
-    for _ in range(_MAX_ITER):
-        vals = (roots[:, None] ** powers) @ monic
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        step = vals / denom
-        roots = roots - step
-        if np.max(presidual(roots)) <= tol and np.max(np.abs(step)) <= 1e-13 * (
-            1.0 + np.max(np.abs(roots))
-        ):
-            return roots
-    if np.max(presidual(roots)) <= tol:
-        return roots
-    raise NumericalError(
-        f"root iteration did not converge in {_MAX_ITER} steps "
-        f"(residual {np.max(presidual(roots)):.3e})"
-    )
-
-
 def roots_nonzero(p: LaurentPolynomial) -> list[tuple[complex, int]]:
     """Roots away from the origin, with multiplicities, sorted by position.
 
@@ -138,27 +97,23 @@ def roots_nonzero(p: LaurentPolynomial) -> list[tuple[complex, int]]:
     if p.is_zero():
         raise InputError("zero polynomial has no root set")
     coeffs, _ = _ordinary_coefficients(p)
-    d = len(coeffs) - 1
-    if d == 0:
+    if len(coeffs) == 1:
         return []
-    roots = _durand_kerner(coeffs)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = np.roots(coeffs[::-1])
+    except np.linalg.LinAlgError as exc:  # the companion matrix overflowed
+        raise NumericalError(f"polynomial root solve failed: {exc}") from exc
 
-    order = sorted(range(d), key=lambda i: (roots[i].real, roots[i].imag))
     clusters: list[list[complex]] = []
-    for i in order:
-        z = complex(roots[i])
-        placed = False
+    for z in sorted(map(complex, roots), key=lambda w: (w.real, w.imag)):
         for cl in clusters:
             if abs(z - cl[0]) <= _CLUSTER_RADIUS:
                 cl.append(z)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([z])
-    out = []
-    for cl in clusters:
-        center = sum(cl) / len(cl)
-        out.append((center, len(cl)))
+    out = [(sum(cl) / len(cl), len(cl)) for cl in clusters]
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 

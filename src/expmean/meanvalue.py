@@ -5,12 +5,14 @@ The central quantity is the constant term A of the formal product
     g * f' / (c_k * exp(2*pi*a_k*z)) * (1 / ftilde_k)
 
 where the k-th term is the lowest (FIRST) or highest (LAST) term of f and
-ftilde_k is f divided by that term.  The reciprocal is expanded as the
-geometric series 1 + (1-ftilde) + (1-ftilde)^2 + ..., which is graded by
-frequency: away from the chosen end every power pushes frequencies further
-from zero, so only finitely many powers can reach frequency 0 and the
-constant term is well defined.  The mean value of g over the zeros of f,
-per unit height of a widening horizontal window, is
+ftilde_k is f divided by that term.  Away from the chosen end every other
+frequency of ftilde_k lies on one side of zero, so 1/ftilde_k is a formal
+series over the semigroup those frequencies generate, and its coefficients
+follow from the power-series inversion recurrence in one pass outward from
+frequency zero.  Only the finitely many terms within the frequency reach of
+g * f' can meet it at frequency 0, so the constant term is well defined.
+The mean value of g over the zeros of f, per unit height of a widening
+horizontal window, is
 
     mean = (A_last - A_first) / (2*pi).
 
@@ -20,14 +22,17 @@ mean density of zeros themselves.
 
 from __future__ import annotations
 
+import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, NumericalError, ResourceLimitError
 from .exact import ExactCoeff, GaussianRational
 from .sums import (
+    Coeff,
     End,
     ExpTerm,
     ExponentialSum,
@@ -39,7 +44,7 @@ from .sums import (
     divide_by_extreme_term,
     extreme_term,
     multiply,
-    one_sum,
+    normalize,
 )
 
 CutoffLike = Union[int, float, str, Fraction]
@@ -81,24 +86,21 @@ class MeanValueResult:
     mean_exact: Optional[tuple[GaussianRational, ...]] = None
 
 
-def _truncate(f: ExponentialSum, cutoff: Fraction, end: End) -> ExponentialSum:
-    """Drop terms farther than cutoff from frequency zero on the end's side."""
-    if end is End.FIRST:
-        kept = [t for t in f.terms if f.basis.value_key(t.freq) <= cutoff]
-    else:
-        kept = [t for t in f.terms if f.basis.value_key(t.freq) >= -cutoff]
-    return ExponentialSum(tuple(kept), f.basis, f.exact)
-
-
 def truncated_reciprocal(
     ftilde: ExponentialSum, end: End, cutoff: CutoffLike
 ) -> TruncatedSeries:
-    """Geometric-series reciprocal of a sum whose constant term is one.
+    """Reciprocal of a sum whose constant term is one, up to the cutoff.
 
-    For end=FIRST every other frequency of ftilde must be positive
-    (mirrored for LAST), so each extra factor of (1 - ftilde) pushes
-    frequencies strictly away from zero and the expansion below the
-    cutoff stabilizes after finitely many rounds.
+    For end=FIRST every other frequency beta of ftilde must be positive
+    (mirrored for LAST).  Writing ftilde = 1 + sum c_beta e(beta), the
+    power-series inversion recurrence
+
+        r_0 = 1,    r_alpha = -sum_beta c_beta * r_(alpha - beta)
+
+    fixes each coefficient from ones strictly nearer to frequency zero, so
+    one pass over the points of the semigroup generated by the betas, in
+    increasing distance from zero up to the cutoff, gives every term.
+    Float mode raises NumericalError once a coefficient overflows.
     """
     cut = _as_cutoff(cutoff)
     basis = ftilde.basis
@@ -107,32 +109,38 @@ def truncated_reciprocal(
     is_one = c0.is_one() if ftilde.exact else c0 == 1
     if not is_one:
         raise InputError("reciprocal expansion requires a constant term equal to one")
+    sign = 1 if end is End.FIRST else -1
+    steps = []  # (beta, distance of beta from zero, -c_beta)
     for t in ftilde.terms:
-        v = basis.value_key(t.freq)
-        if end is End.FIRST and v < 0:
-            raise InputError("lowest-end expansion given a negative frequency")
-        if end is End.LAST and v > 0:
-            raise InputError("highest-end expansion given a positive frequency")
+        dist = sign * basis.value_key(t.freq)
+        if dist < 0:
+            raise InputError(f"{end.value}-end expansion given a frequency past its end")
+        if 0 < dist <= cut:
+            steps.append((t.freq.coords, dist, -t.coeff))
 
-    one = one_sum(basis, ftilde.exact)
-    base = _truncate(one - ftilde, cut, end)
-    acc = one
-    power = one
-    # frequencies of base are bounded away from 0 by d, so at most
-    # floor(cut/d) + 1 rounds contribute below the cutoff
-    if not base.is_zero():
-        d = min(abs(basis.value_key(t.freq)) for t in base.terms)
-        max_rounds = int(cut / d) + 1
-    else:
-        max_rounds = 0
-    rounds = 0
-    while not power.is_zero() and rounds < max_rounds:
-        power = _truncate(multiply(power, base), cut, end)
-        acc = acc + power
-        rounds += 1
-    if not power.is_zero() and not _truncate(multiply(power, base), cut, end).is_zero():
-        raise ResourceLimitError("reciprocal expansion failed to stabilize")
-    return TruncatedSeries(acc, cut, end)
+    zero_c = ExactCoeff.zero(len(basis)) if ftilde.exact else 0j
+    coeffs: dict[tuple, Coeff] = {}
+    heap = [(Fraction(0), zero_freq.coords)]
+    while heap:
+        dist, alpha = heapq.heappop(heap)
+        if alpha in coeffs:
+            continue
+        if coeffs:
+            r = zero_c
+            for beta, _, neg_c in steps:
+                prev = coeffs.get(tuple(a - b for a, b in zip(alpha, beta)))
+                if prev is not None:
+                    r = r + neg_c * prev
+        else:
+            r = c0
+        if not ftilde.exact and not cmath.isfinite(r):
+            raise NumericalError("reciprocal series overflowed in float mode; use exact mode")
+        coeffs[alpha] = r
+        for beta, step, _ in steps:
+            if dist + step <= cut:
+                heapq.heappush(heap, (dist + step, tuple(a + b for a, b in zip(alpha, beta))))
+    terms = [ExpTerm(c, Frequency(k)) for k, c in coeffs.items()]
+    return TruncatedSeries(normalize(terms, basis, ftilde.exact), cut, end)
 
 
 def _edge_quotient(f: ExponentialSum, g: ExponentialSum, end: End) -> ExponentialSum:
@@ -300,32 +308,33 @@ def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:
     a_first = _a_value(f, g, End.FIRST)
     a_last = _a_value(f, g, End.LAST)
     neg, pos = support_semigroup_generators(f)
+    exact_extras = {}
     if isinstance(a_first, ExactCoeff):
         diff = a_last - a_first
         # every contribution carries exactly one derivative factor, so the
         # plain-scalar component of A is identically zero
         if not diff.scalar.is_zero() or not a_first.scalar.is_zero():
             raise InputError("constant term carries a non-derivative component")
+        exact_extras = dict(A_first_exact=a_first, A_last_exact=a_last, mean_exact=diff.twopi)
         bf = f.basis.float_values
-        mean_c = complex(sum(
-            (v.to_complex() * b for v, b in zip(diff.twopi, bf)), 0j
-        ))
-        return MeanValueResult(
-            A_first=a_first.to_complex(bf),
-            A_last=a_last.to_complex(bf),
-            mean=mean_c,
-            neg_generators=neg,
-            pos_generators=pos,
-            A_first_exact=a_first,
-            A_last_exact=a_last,
-            mean_exact=diff.twopi,
-        )
+        try:
+            mean = complex(sum(
+                (v.to_complex() * b for v, b in zip(diff.twopi, bf)), 0j
+            ))
+            a_first, a_last = a_first.to_complex(bf), a_last.to_complex(bf)
+        except OverflowError as exc:
+            raise NumericalError("exact mean value does not fit a double") from exc
+    else:
+        mean = (a_last - a_first) / TWO_PI
+    if not all(cmath.isfinite(z) for z in (a_first, a_last, mean)):
+        raise NumericalError("mean value is not finite in double precision")
     return MeanValueResult(
         A_first=a_first,
         A_last=a_last,
-        mean=(a_last - a_first) / TWO_PI,
+        mean=mean,
         neg_generators=neg,
         pos_generators=pos,
+        **exact_extras,
     )
 
 

@@ -282,24 +282,39 @@ def safe_ordinate(f: ExponentialSum, R: float, window: float | None = None) -> f
     return _best_ordinate(ws, [1.0], float(R), w, b)
 
 
-def _jittered_cut(lo: float, hi: float, seed: int, attempt: int) -> float:
+def _bisect(
+    ws: _Workspace, box: Rect, count: int, cfg: QuadratureConfig
+) -> tuple[tuple[Rect, int], tuple[Rect, int]]:
+    """Split a box across its longer side into two halves with windings.
+
+    The exact midpoint is tried first, then cuts jittered by a generator
+    seeded from the config and the midpoint; a cut is taken once both
+    halves wind cleanly and their counts add up.
+    """
+    vertical = box.width() >= box.height()
+    lo, hi = (box.re_min, box.re_max) if vertical else (box.im_min, box.im_max)
     mid = 0.5 * (lo + hi)
-    if attempt == 0:
-        return mid
-    rng = random.Random(f"{seed}:{mid:.12e}:{attempt}")
-    return mid + rng.uniform(-0.2, 0.2) * (hi - lo)
-
-
-def _split(rect: Rect, cut: float, vertical_cut: bool) -> tuple[Rect, Rect]:
-    if vertical_cut:
-        return (
-            Rect(rect.re_min, cut, rect.im_min, rect.im_max),
-            Rect(cut, rect.re_max, rect.im_min, rect.im_max),
-        )
-    return (
-        Rect(rect.re_min, rect.re_max, rect.im_min, cut),
-        Rect(rect.re_min, rect.re_max, cut, rect.im_max),
-    )
+    for attempt in range(_JITTER_ATTEMPTS):
+        cut = mid
+        if attempt:
+            rng = random.Random(f"{cfg.jitter_seed}:{mid:.12e}:{attempt}")
+            cut += rng.uniform(-0.2, 0.2) * (hi - lo)
+        if not (lo < cut < hi):
+            continue
+        if vertical:
+            a = Rect(box.re_min, cut, box.im_min, box.im_max)
+            b = Rect(cut, box.re_max, box.im_min, box.im_max)
+        else:
+            a = Rect(box.re_min, box.re_max, box.im_min, cut)
+            b = Rect(box.re_min, box.re_max, cut, box.im_max)
+        try:
+            wa = _winding(ws, a, cfg)
+            wb = _winding(ws, b, cfg)
+        except (ContourTooCloseError, ContourOnZeroError):
+            continue
+        if wa + wb == count:
+            return (a, wa), (b, wb)
+    raise NumericalError(f"no admissible cut line found inside {box}")
 
 
 def _newton_refine(
@@ -367,24 +382,8 @@ def _resolve_box(
         raise NumericalError(
             f"could not refine the zero inside {box} below the residual bound"
         )
-    vertical = box.width() >= box.height()
-    lo, hi = (box.re_min, box.re_max) if vertical else (box.im_min, box.im_max)
-    for attempt in range(_JITTER_ATTEMPTS):
-        cut = _jittered_cut(lo, hi, cfg.jitter_seed, attempt)
-        if not (lo < cut < hi):
-            continue
-        a, b = _split(box, cut, vertical)
-        try:
-            wa = _winding(ws, a, cfg)
-            wb = _winding(ws, b, cfg)
-        except (ContourTooCloseError, ContourOnZeroError):
-            continue
-        if wa + wb != count:
-            continue
-        out = _resolve_box(ws, a, wa, cfg, budget - 1)
-        out += _resolve_box(ws, b, wb, cfg, budget - 1)
-        return out
-    raise NumericalError(f"could not place a clean cut through {box}")
+    (a, wa), (b, wb) = _bisect(ws, box, count, cfg)
+    return _resolve_box(ws, a, wa, cfg, budget - 1) + _resolve_box(ws, b, wb, cfg, budget - 1)
 
 
 def _multiplicity(
@@ -439,27 +438,8 @@ def search_zeros(
             err = NumericalError("subdivision depth exhausted before isolation")
             err.partial = partial
             raise err
-        vertical = box.width() >= box.height()
-        lo, hi = (box.re_min, box.re_max) if vertical else (box.im_min, box.im_max)
-        placed = False
-        for attempt in range(_JITTER_ATTEMPTS):
-            cut = _jittered_cut(lo, hi, cfg.jitter_seed, attempt)
-            if not (lo < cut < hi):
-                continue
-            a, bx = _split(box, cut, vertical)
-            try:
-                wa = _winding(ws, a, cfg)
-                wb = _winding(ws, bx, cfg)
-            except (ContourTooCloseError, ContourOnZeroError):
-                continue
-            if wa + wb != count:
-                continue
-            stack.append((a, wa, depth + 1))
-            stack.append((bx, wb, depth + 1))
-            placed = True
-            break
-        if not placed:
-            raise NumericalError(f"no admissible cut line found inside {box}")
+        for half, winding in _bisect(ws, box, count, cfg):
+            stack.append((half, winding, depth + 1))
 
     zeros = _collect(ws, points, total, cfg, check=True)
     for z in zeros:

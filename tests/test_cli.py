@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from expmean.cli import (
+    _COMMANDS,
     load_problem,
     parse_problem,
     problem_to_dict,
@@ -288,6 +289,50 @@ def test_numerical_failure_exit_code(problem_file, capsys, monkeypatch):
     monkeypatch.setattr("expmean.cli.search_zeros", boom)
     assert run(["zeros", "--input", path, "--R", "2"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("part", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_coefficients_are_input_errors(tmp_path, capsys, mode, part):
+    text = (
+        '{"mode": "%s", "f": [{"coeff": [1, 0], "freq": "0"}, '
+        '{"coeff": [%s, 0], "freq": "1"}]}' % (mode, part)
+    )
+    with pytest.raises(InputError):
+        parse_problem(json.loads(text))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["mean", "--input", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_render_failure_exit_code(problem_file, capsys, monkeypatch, fmt):
+    path = problem_file(TWO_TERM_DOC)
+    monkeypatch.setitem(_COMMANDS, "mean", lambda problem, args: {"M": [math.nan, 0.0]})
+    assert run(["mean", "--input", path, "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_mean_beyond_double_range_exit_code(problem_file, capsys, mode):
+    # the mean is about 10^836: float mode overflows inside the series and
+    # exact mode cannot project its exact answer onto a double
+    doc = {
+        "mode": mode,
+        "f": [
+            {"coeff": [1, 0], "freq": "0"},
+            {"coeff": [3, 0], "freq": "1"},
+            {"coeff": [1, 0], "freq": "2"},
+        ],
+        "g": [{"coeff": [1, 0], "freq": "2000"}],
+    }
+    assert run(["mean", "--input", problem_file(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
 
 
 def test_output_bytes_deterministic(problem_file, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from expmean.errors import InputError
+from expmean.errors import InputError, NumericalError
 from expmean.laurent import (
     LaurentPolynomial,
     laurent,
@@ -79,6 +79,12 @@ def test_roots_total_multiplicity_random():
         assert sum(m for _, m in rs) == p.exponent_span()
 
 
+def test_roots_out_of_double_range_is_numerical_error():
+    # the companion matrix holds c_k / c_lead, which overflows here
+    with pytest.raises(NumericalError):
+        roots_nonzero(laurent({0: 1e300, 1: 1.0, 2: 1e-300}))
+
+
 def test_sum_over_roots_examples():
     f = laurent({0: 2, 1: -3, 2: 1})  # roots 1, 2
     assert abs(sum_over_roots(f, laurent({1: 1})) - 3) < 1e-9
@@ -113,6 +119,17 @@ def test_residue_matches_root_sum_random():
         direct = sum_over_roots(f, g)
         series = residue_formula_sum(f, g)
         assert abs(series - direct) < 1e-8, (f, g, series, direct)
+
+
+def test_residue_matches_root_sum_degree_nine():
+    # a root set on which an iterative solver with an absolute residual
+    # tolerance stalls near 3e-12; the two routes agree to rounding
+    coeffs = [-1 - 1j, -2 - 2j, 2 - 2j, 2j, 2j, -1 - 2j, -1, -2j, 2 - 2j, 1j]
+    f = laurent(dict(enumerate(coeffs)))
+    g = laurent({1: 1, -1: 1})
+    assert sum(m for _, m in roots_nonzero(f)) == 9
+    assert abs(residue_formula_sum(f, g) - 2j) < 1e-12
+    assert abs(sum_over_roots(f, g) - residue_formula_sum(f, g)) < 1e-12
 
 
 def test_substitution_examples():
