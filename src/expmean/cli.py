@@ -27,7 +27,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -57,86 +56,46 @@ class Problem:
     exact: bool
 
 
-def _parse_exact_part(raw: Any, where: str) -> Fraction:
-    if isinstance(raw, bool):
-        raise InputError(f"{where}: expected a number or rational string")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, float):
-        if not math.isfinite(raw) or raw != int(raw):
-            raise InputError(
-                f"{where}: exact mode needs finite integers or rational strings, got {raw!r}"
-            )
-        return Fraction(int(raw))
-    if isinstance(raw, str):
-        try:
-            return as_fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: bad rational {raw!r}") from exc
-    raise InputError(f"{where}: expected a number or rational string")
-
-
-def _parse_float_part(raw: Any, where: str) -> float:
+def _parse_part(raw: Any, exact: bool, where: str) -> Fraction | float:
+    """One coefficient part: a Fraction in exact mode, a finite float otherwise."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise InputError(f"{where}: expected a number")
+        raise InputError(f"{where}: expected a number or rational string")
     try:
-        value = float(as_fraction(raw)) if isinstance(raw, str) else float(raw)
+        # Fraction(float) is exact and rejects NaN and infinities
+        value = Fraction(raw) if isinstance(raw, float) else as_fraction(raw)
+        if not exact:
+            return raw if isinstance(raw, float) else float(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"{where}: bad number {raw!r}") from exc
-    if not math.isfinite(value):
-        raise InputError(f"{where}: coefficient parts must be finite, got {raw!r}")
+        raise InputError(f"{where}: need a finite number or rational string, got {raw!r}") from exc
+    if isinstance(raw, float) and value.denominator != 1:
+        raise InputError(f"{where}: exact mode takes integers or rational strings, not {raw!r}")
     return value
 
 
-def _parse_coeff(raw: Any, exact: bool, where: str):
-    if not isinstance(raw, Sequence) or isinstance(raw, str) or len(raw) != 2:
+def _parse_term(item: Any, basis: FrequencyBasis, exact: bool, where: str):
+    """A ``(coeff, freq)`` pair in the form ``exp_sum`` takes."""
+    if not isinstance(item, dict) or set(item) != {"coeff", "freq"}:
+        raise InputError(f"{where}: terms are objects with coeff and freq")
+    coeff, freq = item["coeff"], item["freq"]
+    if not isinstance(coeff, list) or len(coeff) != 2:
         raise InputError(f"{where}: coeff must be a [re, im] pair")
-    if exact:
-        re = _parse_exact_part(raw[0], where)
-        im = _parse_exact_part(raw[1], where)
-        return GaussianRational(re, im)
-    return complex(_parse_float_part(raw[0], where), _parse_float_part(raw[1], where))
-
-
-def _parse_freq(raw: Any, basis: FrequencyBasis, where: str) -> Frequency:
-    n = len(basis.values)
-    if isinstance(raw, (str, int)):
-        try:
-            return Frequency.of(raw, n)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: bad frequency {raw!r}") from exc
-    if isinstance(raw, Sequence):
-        if len(raw) != n:
-            raise InputError(
-                f"{where}: frequency vector has {len(raw)} entries, basis has {n}"
-            )
-        coords = []
-        for part in raw:
-            if not isinstance(part, (str, int)):
-                raise InputError(f"{where}: frequency entries must be rational strings")
-            try:
-                coords.append(as_fraction(part))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"{where}: bad frequency entry {part!r}") from exc
-        return Frequency(tuple(coords))
-    raise InputError(f"{where}: bad frequency {raw!r}")
+    re, im = (_parse_part(part, exact, where) for part in coeff)
+    if isinstance(freq, bool) or not isinstance(freq, (str, int, list)):
+        raise InputError(f"{where}: a frequency is a rational string, an integer or a list")
+    n = len(basis)
+    if isinstance(freq, list) and len(freq) != n:
+        raise InputError(f"{where}: frequency vector has {len(freq)} entries, basis has {n}")
+    try:
+        freq = Frequency.of(freq, n)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: bad frequency {freq!r}") from exc
+    return (GaussianRational(re, im) if exact else complex(re, im)), freq
 
 
 def _parse_sum(raw: Any, basis: FrequencyBasis, exact: bool, name: str) -> ExponentialSum:
     if not isinstance(raw, list):
         raise InputError(f"{name} must be a list of terms")
-    pairs = []
-    for i, item in enumerate(raw):
-        where = f"{name}[{i}]"
-        if not isinstance(item, dict) or set(item) - {"coeff", "freq"}:
-            raise InputError(f"{where}: terms are objects with coeff and freq")
-        if "coeff" not in item or "freq" not in item:
-            raise InputError(f"{where}: terms are objects with coeff and freq")
-        coeff = _parse_coeff(item["coeff"], exact, where)
-        freq = _parse_freq(item["freq"], basis, where)
-        if exact:
-            coeff = ExactCoeff.plain(coeff, len(basis.values))
-        pairs.append((coeff, freq))
+    pairs = [_parse_term(item, basis, exact, f"{name}[{i}]") for i, item in enumerate(raw)]
     return exp_sum(pairs, basis=basis, exact=exact)
 
 
@@ -147,11 +106,8 @@ def parse_problem(data: Any) -> Problem:
     if unknown:
         raise InputError(f"unknown problem keys: {sorted(unknown)}")
     raw_basis = data.get("basis", ["1"])
-    if (
-        not isinstance(raw_basis, list)
-        or not raw_basis
-        or not all(isinstance(b, str) for b in raw_basis)
-    ):
+    # FrequencyBasis rejects an empty list and non-decimal or non-positive values
+    if not isinstance(raw_basis, list) or not all(isinstance(b, str) for b in raw_basis):
         raise InputError("basis must be a non-empty list of decimal strings")
     try:
         basis = FrequencyBasis(tuple(raw_basis))
@@ -305,7 +261,7 @@ def _exact_vector_json(vec: tuple[GaussianRational, ...] | None) -> Any:
 
 def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
     res = mean_value(problem.f, problem.g)
-    out = {
+    return {
         "A_first": _c(res.A_first),
         "A_last": _c(res.A_last),
         "M": _c(res.mean),
@@ -313,15 +269,12 @@ def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
         "pos_generators": _generators_json(res.pos_generators, problem.basis),
         "mean_exact": _exact_vector_json(res.mean_exact),
     }
-    return out
 
 
 def cmd_density(problem: Problem, args: argparse.Namespace) -> dict:
-    density = mean_zero_count(problem.f)
     f = problem.f
-    first = f.terms[0].freq
-    last = f.terms[-1].freq
-    span = last - first
+    density = mean_zero_count(f)
+    span = f.terms[-1].freq - f.terms[0].freq
     out: dict[str, Any] = {
         "density": density,
         "span": _freq_to_json(span, problem.basis),
@@ -345,25 +298,21 @@ def _zeros_json(zeros) -> list:
     ]
 
 
-def _write_points(path: str, zeros) -> None:
-    rows = [[z.location.real, z.location.imag, z.multiplicity] for z in zeros]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv([["re", "im", "multiplicity"]] + rows))
-
-
 def cmd_zeros(problem: Problem, args: argparse.Namespace) -> dict:
     if args.R is None:
         raise InputError("zeros needs --R")
     cfg = QuadratureConfig(jitter_seed=args.seed)
     found = search_zeros(problem.f, args.R, cfg, args.margin)
+    zeros = _zeros_json(found.zeros)
     if args.emit_points:
-        _write_points(args.emit_points, found.zeros)
+        with open(args.emit_points, "w", encoding="utf-8") as fh:
+            fh.write(render_csv(_result_rows("zeros", {"zeros": zeros})))
     return {
         "R_used": found.height,
         "strip_bound": found.strip,
         "outer_winding": found.outer_winding,
         "count": sum(z.multiplicity for z in found.zeros),
-        "zeros": _zeros_json(found.zeros),
+        "zeros": zeros,
     }
 
 
@@ -456,24 +405,18 @@ def _result_rows(command: str, results: dict) -> list[list[Any]]:
 # argument parsing and dispatch
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # keep argparse's exit code 2, usage on stderr
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 def _parse_r_list(raw: str) -> list[float]:
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
-        raise InputError(f"bad --R-list {raw!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad --R-list {raw!r}") from exc
     if not values:
-        raise InputError("empty --R-list")
+        raise argparse.ArgumentTypeError("empty --R-list")
     return values
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="expmean", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="expmean", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"expmean {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -521,12 +464,7 @@ def _inputs_echo(args: argparse.Namespace, problem: Problem) -> dict:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except InputError as exc:
-        print(f"expmean: error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         problem = load_problem(args.input)
         start = time.perf_counter()

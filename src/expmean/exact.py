@@ -74,9 +74,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def scale(self, q: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * q, self.im * q)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

@@ -97,9 +97,6 @@ class FrequencyBasis:
             self._key_cache[coords] = key
         return key
 
-    def float_value(self, freq: "Frequency") -> float:
-        return float(self.value_key(freq))
-
 
 DEFAULT_BASIS = FrequencyBasis(("1",))
 
@@ -315,7 +312,7 @@ def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> 
         ExpTerm(_coerce_coeff(c, exact, n), Frequency.of(f, n))
         for c, f in pairs
     ]
-    return normalize(raw, basis)
+    return normalize(raw, basis, exact)
 
 
 def zero_sum(basis: FrequencyBasis | None = None, exact: bool = False) -> ExponentialSum:

@@ -9,12 +9,13 @@ located zeros and reports the error trend over a ladder of heights.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 
 from .errors import InputError
 from .sums import ExponentialSum, evaluate
-from .zerofind import QuadratureConfig, Zero, search_zeros
+from .zerofind import QuadratureConfig, Zero, ZeroSearch, search_zeros
 
 # flat-trend allowance for the median consecutive-error ratio
 _TREND_SLACK = 0.9
@@ -45,6 +46,19 @@ def weighted_sum(zeros: list[Zero], g: ExponentialSum) -> complex:
     return total
 
 
+def _row(search: ZeroSearch, g: ExponentialSum, symbolic: complex) -> ReportRow:
+    """S(R')/2R' over a search up to the safe ordinate R', with its error against symbolic."""
+    s = weighted_sum(search.zeros, g)
+    emp = s / (2.0 * search.height)
+    return ReportRow(
+        R=search.height,
+        count=sum(z.multiplicity for z in search.zeros),
+        weighted_sum=s,
+        empirical_mean=emp,
+        abs_error=abs(emp - symbolic),
+    )
+
+
 def empirical_mean(
     f: ExponentialSum,
     g: ExponentialSum,
@@ -53,9 +67,8 @@ def empirical_mean(
     margin: float = 0.5,
 ) -> tuple[complex, float]:
     """S(R')/2R' at the safe ordinate R' near R; returns (mean, R')."""
-    search = search_zeros(f, R, cfg, margin)
-    s = weighted_sum(search.zeros, g)
-    return s / (2.0 * search.height), search.height
+    row = _row(search_zeros(f, R, cfg, margin), g, 0j)
+    return row.empirical_mean, row.R
 
 
 def convergence_report(
@@ -76,6 +89,8 @@ def convergence_report(
     rather than 1 exactly.  No rate is asserted beyond that, only
     boundedness-driven shrinkage.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and positive, got {tol!r}")
     if len(R_list) < 2:
         raise InputError("a convergence report needs at least two heights")
     if any(b <= a for a, b in zip(R_list, R_list[1:])):
@@ -83,20 +98,7 @@ def convergence_report(
     from .meanvalue import mean_value
 
     symbolic = mean_value(f, g).mean
-    rows = []
-    for r in R_list:
-        search = search_zeros(f, r, cfg, margin)
-        s = weighted_sum(search.zeros, g)
-        emp = s / (2.0 * search.height)
-        rows.append(
-            ReportRow(
-                R=search.height,
-                count=sum(z.multiplicity for z in search.zeros),
-                weighted_sum=s,
-                empirical_mean=emp,
-                abs_error=abs(emp - symbolic),
-            )
-        )
+    rows = [_row(search_zeros(f, r, cfg, margin), g, symbolic) for r in R_list]
     rows.sort(key=lambda row: row.R)
     ratios = []
     for a, b in zip(rows, rows[1:]):

@@ -122,18 +122,20 @@ def strip_bound(f: ExponentialSum, margin: float = 0.5) -> float:
         raise InputError("margin must lie in (0, 1)")
     freqs, coeffs = f.numeric_parts()
     mags = np.abs(coeffs)
+    with np.errstate(over="ignore", divide="ignore"):
+        # (magnitude ratio, frequency gap) of the other terms to the first, then the last
+        ends = [
+            (mags[1:] / mags[0], freqs[1:] - freqs[0]),
+            (mags[:-1] / mags[-1], freqs[-1] - freqs[:-1]),
+        ]
 
-    def first_tail(b: float) -> float:
-        return float(
-            np.sum(mags[1:] / mags[0] * np.exp(-2 * math.pi * b * (freqs[1:] - freqs[0])))
-        )
+    def solve(ratio: np.ndarray, gap: np.ndarray) -> float:
+        if not np.all(np.isfinite(ratio)):
+            raise NumericalError("coefficient scale: a coefficient magnitude ratio is not finite")
 
-    def last_tail(b: float) -> float:
-        return float(
-            np.sum(mags[:-1] / mags[-1] * np.exp(-2 * math.pi * b * (freqs[-1] - freqs[:-1])))
-        )
+        def tail(b: float) -> float:
+            return float(np.sum(ratio * np.exp(-2 * math.pi * b * gap)))
 
-    def solve(tail) -> float:
         if tail(0.0) <= margin:
             return 0.0
         hi = 1.0
@@ -150,7 +152,7 @@ def strip_bound(f: ExponentialSum, margin: float = 0.5) -> float:
                 lo = mid
         return hi
 
-    return max(solve(first_tail), solve(last_tail))
+    return max(solve(ratio, gap) for ratio, gap in ends)
 
 
 class _Workspace:
@@ -169,6 +171,11 @@ class _Workspace:
         if np.any(bad):
             raise ContourOnZeroError("quadrature sample sits on or next to a zero")
         return dv / fv
+
+    def small_residual(self, z: complex, tol: float, fz: complex | None = None) -> bool:
+        """|f(z)| <= tol times the coefficient envelope at Re z; pass fz if known."""
+        fz = evaluate(self.f, z) if fz is None else fz
+        return abs(fz) <= tol * float(coefficient_envelope(self.f, np.array([z.real]))[0])
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -325,8 +332,7 @@ def _newton_refine(
     pad = 2.0 * box.diameter()
     fz = evaluate(ws.f, z)
     for _ in range(80):
-        scale = float(coefficient_envelope(ws.f, np.array([z.real]))[0])
-        if abs(fz) <= cfg.newton_tol * scale:
+        if ws.small_residual(z, cfg.newton_tol, fz):
             # a point outside its own box belongs to a neighbor; claiming
             # it here would double-count the zero
             return z if box.contains(z, 1e-12) else None
@@ -346,8 +352,7 @@ def _newton_refine(
             return None
         if not box.contains(z, pad):
             return None
-    scale = float(coefficient_envelope(ws.f, np.array([z.real]))[0])
-    if abs(fz) <= cfg.newton_tol * scale and box.contains(z, 1e-12):
+    if ws.small_residual(z, cfg.newton_tol, fz) and box.contains(z, 1e-12):
         return z
     return None
 
@@ -376,8 +381,7 @@ def _resolve_box(
             pass
     if budget <= 0 or box.diameter() <= 1e-10:
         z = box.center()
-        scale = float(coefficient_envelope(ws.f, np.array([z.real]))[0])
-        if abs(evaluate(ws.f, z)) <= 1e-9 * scale:
+        if ws.small_residual(z, 1e-9):
             return [z]
         raise NumericalError(
             f"could not refine the zero inside {box} below the residual bound"
@@ -412,8 +416,8 @@ def search_zeros(
     cfg = cfg or QuadratureConfig()
     if f.num_terms() < 2:
         raise InputError("zero search needs at least two terms")
-    if R <= 0:
-        raise InputError("half-height R must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise InputError(f"half-height R must be finite and positive, got {R!r}")
     ws = _Workspace(f)
     b = strip_bound(f, margin)
     window = min(default_window(f), 0.5 * float(R))
@@ -482,8 +486,7 @@ def _collect(
             err.partial = zeros
             raise err
         for z in zeros:
-            scale = float(coefficient_envelope(ws.f, np.array([z.location.real]))[0])
-            if abs(evaluate(ws.f, z.location)) > 1e-9 * scale:
+            if not ws.small_residual(z.location, 1e-9):
                 err = NumericalError(f"zero at {z.location} fails the residual bound")
                 err.partial = zeros
                 raise err

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -102,6 +103,10 @@ def test_parse_problem_rejects_bad_documents():
         {"f": [{"coeff": [1, 0], "freq": "1/0"}]},
         {"f": [{"coeff": [1, 0], "freq": ["1"]}], "basis": ["1", SQRT2]},
         {"f": [{"coeff": [True, 0], "freq": "1"}]},
+        {"f": [{"coeff": ["1e400", 0], "freq": "1"}]},
+        {"f": [{"coeff": [1, 0], "freq": True}]},
+        {"f": [{"coeff": [1, 0], "freq": 1.5}]},
+        {"f": [{"coeff": [1, 0], "freq": [0.5]}]},
     ]
     for doc in bad:
         with pytest.raises(InputError):
@@ -125,6 +130,13 @@ def test_parse_problem_exact_mode_coefficients():
     # integral-valued floats are fine
     p2 = parse_problem({"mode": "exact", "f": [{"coeff": [2.0, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1"}]})
     assert problem_to_dict(p2)["f"][0]["coeff"] == ["2", "0"]
+
+
+def test_exact_mode_empty_g_is_the_exact_zero_sum(problem_file, capsys):
+    doc = dict(TWO_TERM_DOC, g=[])
+    assert parse_problem(doc).g.exact
+    env = run_json(["mean", "--input", problem_file(doc)], capsys)
+    assert env["results"]["M"] == [0.0, 0.0]
 
 
 def test_load_problem_errors(tmp_path):
@@ -278,6 +290,51 @@ def test_exit_codes(problem_file, tmp_path, capsys):
         run(["not-a-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["zeros", "--R", "nan"],
+        ["zeros", "--R", "inf"],
+        ["density", "--R", "inf"],
+        ["verify", "--R-list", "2,inf"],
+        ["verify", "--R-list", "2,4", "--tol", "nan"],
+        ["verify", "--R-list", "2,4", "--tol", "0"],
+    ],
+    ids=["zeros-R-nan", "zeros-R-inf", "density-R-inf", "R-list-inf", "tol-nan", "tol-zero"],
+)
+def test_flags_must_be_finite_and_positive(problem_file, capsys, flags):
+    path = problem_file(TWO_TERM_DOC)
+    assert run(flags + ["--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite and positive" in captured.err
+
+
+def test_empty_r_list_message(problem_file, capsys):
+    path = problem_file(TWO_TERM_DOC)
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--input", path, "--R-list", ",,"])
+    assert exc.value.code == 2
+    assert "empty --R-list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, tiny",
+    # a float-mode denormal, and an exact part whose double image underflows to zero
+    [("float", 1e-320), ("exact", "1e-400")],
+)
+def test_tiny_coefficient_reports_coefficient_scale(problem_file, capsys, mode, tiny):
+    doc = {
+        "mode": mode,
+        "f": [{"coeff": [tiny, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1"}],
+    }
+    path = problem_file(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["zeros", "--input", path, "--R", "2"]) == 3
+    assert "coefficient scale" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(problem_file, capsys, monkeypatch):
