@@ -305,8 +305,12 @@ def cmd_zeros(problem: Problem, args: argparse.Namespace) -> dict:
     found = search_zeros(problem.f, args.R, cfg, args.margin)
     zeros = _zeros_json(found.zeros)
     if args.emit_points:
-        with open(args.emit_points, "w", encoding="utf-8") as fh:
-            fh.write(render_csv(_result_rows("zeros", {"zeros": zeros})))
+        points = render_csv(_result_rows("zeros", {"zeros": zeros}))
+        try:
+            with open(args.emit_points, "w", encoding="utf-8") as fh:
+                fh.write(points)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.emit_points}: {exc}") from exc
     return {
         "R_used": found.height,
         "strip_bound": found.strip,

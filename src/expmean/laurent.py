@@ -23,11 +23,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, ResourceLimitError
 from .meanvalue import constant_term_A
 from .sums import DEFAULT_BASIS, End, ExponentialSum, TWO_PI, exp_sum
 
 _CLUSTER_RADIUS = 1e-7
+# np.roots builds a companion matrix of this order: at 1024 it takes about
+# 4 s on one core and 16 MB, and the cost grows with the cube of the degree
+_MAX_DEGREE = 1024
 
 
 class LaurentPolynomial:
@@ -92,10 +95,15 @@ def roots_nonzero(p: LaurentPolynomial) -> list[tuple[complex, int]]:
     """Roots away from the origin, with multiplicities, sorted by position.
 
     Total multiplicity always equals the exponent span.  Close roots
-    (within 1e-7) are merged into one entry with their count.
+    (within 1e-7) are merged into one entry with their count.  A span
+    above _MAX_DEGREE raises ResourceLimitError before any work.
     """
     if p.is_zero():
         raise InputError("zero polynomial has no root set")
+    if p.exponent_span() > _MAX_DEGREE:
+        raise ResourceLimitError(
+            f"root solve of degree {p.exponent_span()} exceeds the budget of {_MAX_DEGREE}"
+        )
     coeffs, _ = _ordinary_coefficients(p)
     if len(coeffs) == 1:
         return []

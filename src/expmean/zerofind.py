@@ -13,7 +13,8 @@ than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
 window |Im z - R| < 1/(4(a_n - a_1)) always contains an ordinate whose
 line stays clear of every zero; safe_ordinate picks the measured best one.
 Interior cut lines get deterministic seeded jitter when a contour lands
-too close to a zero, keeping runs reproducible.
+too close to a zero, keeping runs reproducible; the jitter seed in
+QuadratureConfig is the search's only setting.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,6 +46,11 @@ _MULT_RADIUS = 1e-4
 _MERGE_RADIUS = 1e-7
 _MAX_EDGE_DOUBLINGS = 11
 _JITTER_ATTEMPTS = 12
+_EDGE_SAMPLES = 32
+_WINDING_TOL = 0.25
+_STABLE_EPS = 0.05
+_NEWTON_TOL = 1e-12
+_MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
@@ -86,17 +93,10 @@ class Zero:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    max_subdivision_depth: int = 60
-    edge_samples_initial: int = 32
-    winding_residual_tol: float = 0.25
-    newton_tol: float = 1e-12
-    jitter_seed: int = 0
+    """The search's one setting, the seed of the cut-line jitter."""
 
-    def __post_init__(self):
-        if not (0 < self.winding_residual_tol < 0.5):
-            raise InputError("winding residual tolerance must lie in (0, 1/2)")
-        if self.edge_samples_initial < 2:
-            raise InputError("need at least two quadrature intervals per edge")
+    jitter_seed: int = 0
+    edge_samples_initial: ClassVar[int] = _EDGE_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -194,31 +194,25 @@ def _winding_value(ws: _Workspace, rect: Rect, n: int) -> complex:
         complex(rect.re_min, rect.im_max),
     ]
     t = np.arange(n + 1) / n
-    segs = []
-    deltas = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        segs.append(a + (b - a) * t)
-        deltas.append(b - a)
-    samples = ws.ratio(np.concatenate(segs))
+    deltas = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
+    segments = [a + d * t for a, d in zip(corners, deltas)]
+    samples = ws.ratio(np.concatenate(segments))
     w = _simpson_weights(n)
     total = 0j
-    for k, d in enumerate(deltas):
-        total += d * np.dot(w, samples[k * (n + 1) : (k + 1) * (n + 1)])
+    for d, edge in zip(deltas, samples.reshape(4, n + 1)):
+        total += d * np.dot(w, edge)
     return total / (2j * math.pi)
 
 
-def _winding(ws: _Workspace, rect: Rect, cfg: QuadratureConfig) -> int:
-    n = cfg.edge_samples_initial
-    if n % 2:
-        n += 1
-    stable_eps = min(0.05, cfg.winding_residual_tol / 5.0)
+def _winding(ws: _Workspace, rect: Rect) -> int:
+    n = _EDGE_SAMPLES
     prev = _winding_value(ws, rect, n)
     for _ in range(_MAX_EDGE_DOUBLINGS):
         n *= 2
         cur = _winding_value(ws, rect, n)
-        if abs(cur - prev) <= stable_eps:
+        if abs(cur - prev) <= _STABLE_EPS:
             m = round(cur.real)
-            if abs(cur - m) <= cfg.winding_residual_tol:
+            if abs(cur - m) <= _WINDING_TOL:
                 return int(m)
         prev = cur
     raise ContourTooCloseError(
@@ -226,11 +220,9 @@ def _winding(ws: _Workspace, rect: Rect, cfg: QuadratureConfig) -> int:
     )
 
 
-def winding_count(
-    f: ExponentialSum, rect: Rect, cfg: QuadratureConfig | None = None
-) -> int:
+def winding_count(f: ExponentialSum, rect: Rect) -> int:
     """Number of zeros inside the rectangle, counted with multiplicity."""
-    return _winding(_Workspace(f), rect, cfg or QuadratureConfig())
+    return _winding(_Workspace(f), rect)
 
 
 def _line_minimum(ws: _Workspace, ordinate: float, b: float, samples: int = 241) -> float:
@@ -272,7 +264,7 @@ def default_window(f: ExponentialSum) -> float:
     return 1.0 / (4.0 * span)
 
 
-def safe_ordinate(f: ExponentialSum, R: float, window: float | None = None) -> float:
+def safe_ordinate(f: ExponentialSum, R: float) -> float:
     """An ordinate near R whose horizontal line stays clear of zeros.
 
     Fewer than n zeros can occupy any horizontal strip of height under
@@ -281,9 +273,7 @@ def safe_ordinate(f: ExponentialSum, R: float, window: float | None = None) -> f
     """
     if f.num_terms() < 2:
         raise InputError("safe ordinate needs at least two terms")
-    w = default_window(f) if window is None else float(window)
-    if w <= 0:
-        raise InputError("window must be positive")
+    w = default_window(f)
     ws = _Workspace(f)
     b = strip_bound(f, 0.5)
     return _best_ordinate(ws, [1.0], float(R), w, b)
@@ -315,8 +305,8 @@ def _bisect(
             a = Rect(box.re_min, box.re_max, box.im_min, cut)
             b = Rect(box.re_min, box.re_max, cut, box.im_max)
         try:
-            wa = _winding(ws, a, cfg)
-            wb = _winding(ws, b, cfg)
+            wa = _winding(ws, a)
+            wb = _winding(ws, b)
         except (ContourTooCloseError, ContourOnZeroError):
             continue
         if wa + wb == count:
@@ -324,15 +314,13 @@ def _bisect(
     raise NumericalError(f"no admissible cut line found inside {box}")
 
 
-def _newton_refine(
-    ws: _Workspace, box: Rect, cfg: QuadratureConfig
-) -> complex | None:
+def _newton_refine(ws: _Workspace, box: Rect) -> complex | None:
     """Damped Newton from the box center; None when it fails to settle."""
     z = box.center()
     pad = 2.0 * box.diameter()
     fz = evaluate(ws.f, z)
     for _ in range(80):
-        if ws.small_residual(z, cfg.newton_tol, fz):
+        if ws.small_residual(z, _NEWTON_TOL, fz):
             # a point outside its own box belongs to a neighbor; claiming
             # it here would double-count the zero
             return z if box.contains(z, 1e-12) else None
@@ -352,58 +340,28 @@ def _newton_refine(
             return None
         if not box.contains(z, pad):
             return None
-    if ws.small_residual(z, cfg.newton_tol, fz) and box.contains(z, 1e-12):
+    if ws.small_residual(z, _NEWTON_TOL, fz) and box.contains(z, 1e-12):
         return z
     return None
 
 
-def _resolve_box(
-    ws: _Workspace, box: Rect, count: int, cfg: QuadratureConfig, budget: int
-) -> list[complex]:
-    """Pin down every zero inside a terminal box of known winding count.
-
-    Newton from the center handles the ordinary case.  A box holding a
-    mixed cluster (Newton's point does not account for the whole count)
-    is bisected further and both halves are resolved, so near-coincident
-    but distinct zeros each get their own representative.
-    """
-    if count == 0:
-        return []
-    z = _newton_refine(ws, box, cfg)
-    if z is not None:
-        if count == 1:
-            return [z]
-        local = min(_MULT_RADIUS, box.diameter())
-        try:
-            if _multiplicity(ws, z, local, cfg) == count:
-                return [z]
-        except NumericalError:
-            pass
-    if budget <= 0 or box.diameter() <= 1e-10:
-        z = box.center()
-        if ws.small_residual(z, 1e-9):
-            return [z]
-        raise NumericalError(
-            f"could not refine the zero inside {box} below the residual bound"
-        )
-    (a, wa), (b, wb) = _bisect(ws, box, count, cfg)
-    return _resolve_box(ws, a, wa, cfg, budget - 1) + _resolve_box(ws, b, wb, cfg, budget - 1)
-
-
-def _multiplicity(
-    ws: _Workspace,
-    point: complex,
-    radius: float,
-    cfg: QuadratureConfig,
-) -> int:
+def _multiplicity(ws: _Workspace, point: complex, radius: float) -> int:
     r = radius
     for _ in range(6):
         sq = Rect(point.real - r, point.real + r, point.imag - r, point.imag + r)
         try:
-            return _winding(ws, sq, cfg)
+            return _winding(ws, sq)
         except (ContourTooCloseError, ContourOnZeroError):
             r *= 0.5
     raise NumericalError(f"no clean multiplicity contour around {point}")
+
+
+def _accounts_for(ws: _Workspace, z: complex, count: int, box: Rect) -> bool:
+    """Whether the zero at z carries the box's whole count; a failed check says no."""
+    try:
+        return count == 1 or _multiplicity(ws, z, min(_MULT_RADIUS, box.diameter())) == count
+    except NumericalError:
+        return False
 
 
 def search_zeros(
@@ -412,7 +370,14 @@ def search_zeros(
     cfg: QuadratureConfig | None = None,
     margin: float = 0.5,
 ) -> ZeroSearch:
-    """Zeros with |Im z| < height near R, plus the contour bookkeeping."""
+    """Zeros with |Im z| < height near R, plus the contour bookkeeping.
+
+    Boxes are bisected until they are small; a small box is then claimed
+    by the point Newton finds from its center when that point accounts
+    for the box's whole count.  Otherwise, as for a mixed cluster of
+    near-coincident but distinct zeros, it is bisected further, so each
+    zero gets its own representative.
+    """
     cfg = cfg or QuadratureConfig()
     if f.num_terms() < 2:
         raise InputError("zero search needs at least two terms")
@@ -423,7 +388,7 @@ def search_zeros(
     window = min(default_window(f), 0.5 * float(R))
     height = _best_ordinate(ws, [1.0, -1.0], float(R), window, b)
     outer = Rect(-b, b, -height, height)
-    total = _winding(ws, outer, cfg)
+    total = _winding(ws, outer)
     if total == 0:
         return ZeroSearch([], b, height, 0, outer)
 
@@ -434,31 +399,34 @@ def search_zeros(
         if count == 0:
             continue
         if box.diameter() < _BOX_DIAMETER:
-            budget = max(10, cfg.max_subdivision_depth - depth)
-            points.extend(_resolve_box(ws, box, count, cfg, budget))
-            continue
-        if depth >= cfg.max_subdivision_depth:
-            partial = _collect(ws, points, total, cfg, check=False)
-            err = NumericalError("subdivision depth exhausted before isolation")
-            err.partial = partial
-            raise err
+            z = _newton_refine(ws, box)
+            if z is not None and _accounts_for(ws, z, count, box):
+                points.append(z)
+                continue
+            if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
+                z = box.center()
+                if not ws.small_residual(z, 1e-9):
+                    raise NumericalError(
+                        f"could not refine the zero inside {box} below the residual bound"
+                    )
+                points.append(z)
+                continue
+        elif depth >= _MAX_DEPTH:
+            raise NumericalError(
+                "subdivision depth exhausted before isolation",
+                partial=_collect(ws, points, total, check=False),
+            )
         for half, winding in _bisect(ws, box, count, cfg):
             stack.append((half, winding, depth + 1))
 
-    zeros = _collect(ws, points, total, cfg, check=True)
+    zeros = _collect(ws, points, total, check=True)
     for z in zeros:
         if not (abs(z.location.real) < b + 1e-12 and abs(z.location.imag) < height):
             raise NumericalError(f"refined zero {z.location} escaped the search box")
     return ZeroSearch(zeros, b, height, total, outer)
 
 
-def _collect(
-    ws: _Workspace,
-    points: list[complex],
-    total: int,
-    cfg: QuadratureConfig,
-    check: bool,
-) -> list[Zero]:
+def _collect(ws: _Workspace, points: list[complex], total: int, check: bool) -> list[Zero]:
     """Merge nearby candidates, assign multiplicities, check conservation."""
     merged: list[complex] = []
     for p in sorted(points, key=lambda pc: (pc.imag, pc.real)):
@@ -472,7 +440,7 @@ def _collect(
             (abs(p - q) for q in merged if q is not p), default=math.inf
         )
         radius = min(_MULT_RADIUS, nearest / 3.0) if nearest < math.inf else _MULT_RADIUS
-        mult = _multiplicity(ws, p, radius, cfg)
+        mult = _multiplicity(ws, p, radius)
         if mult <= 0:
             raise NumericalError(f"refined point {p} shows no enclosed zero")
         zeros.append(Zero(p, mult))
@@ -480,16 +448,14 @@ def _collect(
 
     if check:
         if sum(z.multiplicity for z in zeros) != total:
-            err = NumericalError(
-                "multiplicities do not add up to the boundary winding count"
+            raise NumericalError(
+                "multiplicities do not add up to the boundary winding count", partial=zeros
             )
-            err.partial = zeros
-            raise err
         for z in zeros:
             if not ws.small_residual(z.location, 1e-9):
-                err = NumericalError(f"zero at {z.location} fails the residual bound")
-                err.partial = zeros
-                raise err
+                raise NumericalError(
+                    f"zero at {z.location} fails the residual bound", partial=zeros
+                )
     return zeros
 
 

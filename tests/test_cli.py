@@ -234,6 +234,15 @@ def test_zeros_lattice_and_emit_points(problem_file, tmp_path, capsys):
     assert all(line.split(",")[2] == "1" for line in lines[1:])
 
 
+def test_emit_points_unwritable_path_is_input_error(problem_file, tmp_path, capsys):
+    path = problem_file(TWO_TERM_DOC)
+    points = tmp_path / "missing" / "points.csv"
+    assert run(["zeros", "--input", path, "--R", "2", "--emit-points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {points}" in captured.err
+
+
 def test_zeros_csv_format(problem_file, capsys):
     path = problem_file(TWO_TERM_DOC)
     code = run(["zeros", "--input", path, "--R", "1", "--format", "csv"])
@@ -262,6 +271,18 @@ def test_laurent_check_agreement(problem_file, capsys):
     assert res["residue_vs_roots"] < 1e-8
     assert res["bridge_vs_roots"] < 1e-9
     assert abs(res["mean_value_bridge"][0] - 5.0) < 1e-12
+
+
+def test_laurent_check_degree_budget(problem_file, capsys):
+    # q = 999983 * 1000003 makes the image of f a polynomial of degree 1000003
+    doc = {
+        "f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1/999983"}],
+        "g": [{"coeff": [1, 0], "freq": "1/1000003"}],
+    }
+    assert run(["laurent-check", "--input", problem_file(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the budget" in captured.err
 
 
 def test_laurent_check_needs_rational_basis(problem_file, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from expmean.errors import InputError, NumericalError
+from expmean.errors import InputError, NumericalError, ResourceLimitError
 from expmean.laurent import (
     LaurentPolynomial,
     laurent,
@@ -83,6 +83,15 @@ def test_roots_out_of_double_range_is_numerical_error():
     # the companion matrix holds c_k / c_lead, which overflows here
     with pytest.raises(NumericalError):
         roots_nonzero(laurent({0: 1e300, 1: 1.0, 2: 1e-300}))
+
+
+def test_roots_degree_budget_is_checked_up_front():
+    # a companion matrix of order 10^6 would need 14.6 TiB
+    f = laurent({0: 1, 1_000_003: 1})
+    with pytest.raises(ResourceLimitError, match="degree 1000003"):
+        roots_nonzero(f)
+    with pytest.raises(ResourceLimitError):
+        sum_over_roots(f, laurent({1: 1}))
 
 
 def test_sum_over_roots_examples():

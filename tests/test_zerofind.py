@@ -1,18 +1,22 @@
 """Tests for strip bounds, winding counts, and the rectangle zero search."""
 
 import cmath
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expmean.errors import (
     ContourOnZeroError,
     ContourTooCloseError,
     InputError,
 )
-from expmean.laurent import laurent, roots_nonzero
+from expmean.laurent import laurent, laurent_images, roots_nonzero
 from expmean.sums import FrequencyBasis, coefficient_envelope, evaluate, exp_sum
 from expmean.zerofind import (
     QuadratureConfig,
@@ -104,10 +108,11 @@ def test_rect_and_config_validation():
         Rect(0, 0, 0, 1)
     with pytest.raises(InputError):
         Rect(0, 1, 2, 1)
-    with pytest.raises(InputError):
-        QuadratureConfig(winding_residual_tol=0.5)
-    with pytest.raises(InputError):
-        QuadratureConfig(edge_samples_initial=1)
+
+
+def test_jitter_seed_is_the_only_setting():
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["jitter_seed"]
+    assert QuadratureConfig().edge_samples_initial == 32
 
 
 def test_default_window_formula():
@@ -173,6 +178,52 @@ def test_find_zeros_against_root_lattice():
     assert len(got) == len(expected) == 30
     for a, b in zip(got, expected):
         assert abs(a - b) < 1e-9
+
+
+def test_small_box_with_two_zeros_is_split_again():
+    # (e^{2pi z} - 1)(e^{2pi z} - 1.002): two simple zeros 3.2e-4 apart share a
+    # small box whose Newton point does not carry its count, so it is bisected
+    f = exp_sum([(1.002, 0), (-2.002, 1), (1, 2)])
+    zs = search_zeros(f, 0.6).zeros
+    assert [z.multiplicity for z in zs] == [1, 1]
+    expected = sorted([0j, complex(math.log(1.002) / (2 * math.pi), 0)], key=lambda z: z.real)
+    for z, e in zip(sorted(zs, key=lambda z: z.location.real), expected):
+        assert abs(z.location - e) < 1e-9
+
+
+@settings(max_examples=20)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.lists(st.integers(0, 3 * q), min_size=2, max_size=4, unique=True),
+        )
+    ),
+    st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0, 2 * math.pi)), min_size=4, max_size=4),
+    st.floats(0.5, 2.0),
+)
+def test_search_zeros_match_laurent_roots(exponents, polar, R):
+    # rational frequencies k/q: under w = e^{2pi z/q} the zeros of f are
+    # (q/2pi) log w + i q k over the roots w of the image polynomial F
+    q, ks = exponents
+    f = exp_sum([(cmath.rect(*rp), Fraction(k, q)) for k, rp in zip(ks, polar)])
+    # the image's q is the least common denominator of the drawn k/q
+    F, _, q = laurent_images(f, exp_sum([(1, 0)]))
+    roots = roots_nonzero(F)
+    assume(all(abs(a - b) >= 1e-3 for i, (a, _) in enumerate(roots) for b, _ in roots[:i]))
+    s = search_zeros(f, R)
+    expected = []
+    for w, mult in roots:
+        base = q * cmath.log(w) / (2 * math.pi)
+        k = math.floor((-s.height - base.imag) / q) + 1
+        while base.imag + q * k < s.height:
+            expected.append((base + 1j * q * k, mult))
+            k += 1
+    # expected zeros lie far apart, so nearest matches within 1e-8 pair them up
+    assert len(s.zeros) == len(expected)
+    for b, mult in expected:
+        z = min(s.zeros, key=lambda z: abs(z.location - b))
+        assert abs(z.location - b) < 1e-8 and z.multiplicity == mult
 
 
 def test_search_zeros_conservation_and_containment():
