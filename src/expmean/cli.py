@@ -9,6 +9,10 @@ verify        compare the exact mean against strip averages over growing heights
 laurent-check rational frequencies only: cross-check the residue route,
               the root sum of the image polynomial, and the mean-value bridge
 
+Every command takes --input (required), --format json|csv and --timing;
+density adds --R and --seed, zeros --R, --seed and --emit-points, and verify
+--R-list, --tol and --seed.  Any other flag is a usage error (exit 2).
+
 Problem files are JSON objects with keys ``f``, ``g`` (optional, default the
 constant 1), ``basis`` (optional, default ``["1"]``) and ``mode`` (optional,
 ``"float"`` or ``"exact"``, default ``"float"``).  Each term is an object
@@ -18,7 +22,8 @@ In exact mode the coefficient parts must be integers or rational strings.
 
 Reports are JSON envelopes with sorted keys and floats printed to 17
 significant digits, so a given input and seed always produce identical bytes.
-The ``timing`` field stays ``null`` unless ``--timing`` is passed.
+The ``timing`` field stays ``null`` unless ``--timing`` is passed.  A zero
+search that fails also prints the zeros it found to stderr as one JSON line.
 """
 
 from __future__ import annotations
@@ -245,8 +250,8 @@ def render_csv(rows: list[list[Any]]) -> str:
 # result builders
 
 
-def _c(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _c(z: complex | None) -> list[float] | None:
+    return None if z is None else [float(z.real), float(z.imag)]
 
 
 def _generators_json(gens, basis: FrequencyBasis) -> list:
@@ -281,7 +286,7 @@ def cmd_density(problem: Problem, args: argparse.Namespace) -> dict:
     }
     if args.R is not None:
         cfg = QuadratureConfig(jitter_seed=args.seed)
-        found = search_zeros(f, args.R, cfg, args.margin)
+        found = search_zeros(f, args.R, cfg)
         count = sum(z.multiplicity for z in found.zeros)
         empirical = count / (2.0 * found.height)
         out["R_used"] = found.height
@@ -302,7 +307,7 @@ def cmd_zeros(problem: Problem, args: argparse.Namespace) -> dict:
     if args.R is None:
         raise InputError("zeros needs --R")
     cfg = QuadratureConfig(jitter_seed=args.seed)
-    found = search_zeros(problem.f, args.R, cfg, args.margin)
+    found = search_zeros(problem.f, args.R, cfg)
     zeros = _zeros_json(found.zeros)
     if args.emit_points:
         points = render_csv(_result_rows("zeros", {"zeros": zeros}))
@@ -324,9 +329,7 @@ def cmd_verify(problem: Problem, args: argparse.Namespace) -> dict:
     if not args.R_list:
         raise InputError("verify needs --R-list")
     cfg = QuadratureConfig(jitter_seed=args.seed)
-    report = convergence_report(
-        problem.f, problem.g, args.R_list, cfg, tol=args.tol, margin=args.margin
-    )
+    report = convergence_report(problem.f, problem.g, args.R_list, cfg, tol=args.tol)
     rows = [
         {
             "R": r.R,
@@ -354,7 +357,7 @@ def cmd_laurent_check(problem: Problem, args: argparse.Namespace) -> dict:
     else:
         residue = residue_formula_sum(F, G)
         roots = sum_over_roots(F, G)
-    bridge = mean_value(problem.f, problem.g).mean
+    bridge = mean_value(problem.f, problem.g).float_mean()
     return {
         "q": q,
         "residue_formula_sum": _c(residue),
@@ -419,52 +422,44 @@ def _parse_r_list(raw: str) -> list[float]:
     return values
 
 
+_FLAGS = {
+    "--input": dict(required=True, help="problem file (JSON)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--timing": dict(action="store_true", help="fill the timing field (off: stable output bytes)"),
+    "--R": dict(type=float, help="strip half-height"),
+    "--R-list": dict(type=_parse_r_list, help="comma separated strip half-heights"),
+    "--tol": dict(type=float, default=0.05, help="verification tolerance"),
+    "--seed": dict(type=int, default=0, help="subdivision jitter seed"),
+    "--emit-points": dict(metavar="PATH", help="also write the zeros as CSV to PATH"),
+}
+
+# (help, flags read by the command beyond --input, --format and --timing)
+_SUBCOMMANDS = {
+    "mean": ("exact mean value of g over the zeros of f", ()),
+    "density": ("mean number of zeros per unit height", ("--R", "--seed")),
+    "zeros": ("locate zeros inside a strip", ("--R", "--seed", "--emit-points")),
+    "verify": ("compare exact mean against strip averages", ("--R-list", "--tol", "--seed")),
+    "laurent-check": ("cross-check the rational-frequency routes", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="expmean", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"expmean {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("mean", "exact mean value of g over the zeros of f"),
-        ("density", "mean number of zeros per unit height"),
-        ("zeros", "locate zeros inside a strip"),
-        ("verify", "compare exact mean against strip averages"),
-        ("laurent-check", "cross-check the rational-frequency routes"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="problem file (JSON)")
-        p.add_argument("--R", type=float, default=None, help="strip half-height")
-        p.add_argument(
-            "--R-list",
-            dest="R_list",
-            type=_parse_r_list,
-            default=None,
-            help="comma separated strip half-heights",
-        )
-        p.add_argument("--tol", type=float, default=0.05, help="verification tolerance")
-        p.add_argument("--seed", type=int, default=0, help="subdivision jitter seed")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--emit-points", dest="emit_points", default=None, metavar="PATH")
-        p.add_argument("--margin", type=float, default=0.5, help="strip bound margin")
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            help="fill the timing field (off by default so output bytes are stable)",
-        )
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        # no prefix matching, which would read verify --R as --R-list
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in ("--input", "--format", "--timing") + flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _inputs_echo(args: argparse.Namespace, problem: Problem) -> dict:
-    return {
-        "input": args.input,
-        "R": args.R,
-        "R_list": args.R_list,
-        "tol": args.tol,
-        "seed": args.seed,
-        "format": args.format,
-        "emit_points": args.emit_points,
-        "margin": args.margin,
-        "problem": problem_to_dict(problem),
-    }
+    """Every flag the command parsed, and the problem in canonical form."""
+    echo = {key: value for key, value in vars(args).items() if key != "command"}
+    echo["problem"] = problem_to_dict(problem)
+    return echo
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -490,6 +485,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"expmean: numerical failure: {exc}", file=sys.stderr)
+        if exc.partial is not None:
+            print(render_json(_zeros_json(exc.partial)), file=sys.stderr)
         return 3
     except ExpmeanError as exc:
         print(f"expmean: error: {exc}", file=sys.stderr)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -51,15 +50,15 @@ CutoffLike = Union[int, float, str, Fraction]
 
 
 def _as_cutoff(c: CutoffLike) -> Fraction:
-    if isinstance(c, Fraction):
-        return abs(c)
-    if isinstance(c, (int, float)):
-        if not math.isfinite(c):
-            raise InputError("cutoff must be finite")
-        return abs(Fraction(c))
-    if isinstance(c, str):
-        return abs(Fraction(c))
-    raise InputError(f"not a cutoff value: {c!r}")
+    if not isinstance(c, (int, float, str, Fraction)):
+        raise InputError(f"not a cutoff value: {c!r}")
+    try:
+        cut = Fraction(c)  # rejects NaN, infinities and malformed strings
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"cutoff must be a finite number, got {c!r}") from exc
+    if cut < 0:
+        raise InputError(f"cutoff must be non-negative, got {c!r}")
+    return cut
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,10 @@ class TruncatedSeries:
 
 @dataclass(frozen=True)
 class MeanValueResult:
-    A_first: complex
-    A_last: complex
-    mean: complex
+    # None in exact mode when the exact value does not fit a double
+    A_first: Optional[complex]
+    A_last: Optional[complex]
+    mean: Optional[complex]
     neg_generators: list[Frequency]
     pos_generators: list[Frequency]
     # exact-mode extras; None when the inputs carry float coefficients
@@ -84,6 +84,12 @@ class MeanValueResult:
     # mean as exact coordinates over the frequency basis:
     # mean = sum_j mean_exact[j] * basis[j]
     mean_exact: Optional[tuple[GaussianRational, ...]] = None
+
+    def float_mean(self) -> complex:
+        """The mean as a double; raises NumericalError when it does not fit one."""
+        if self.mean is None:
+            raise NumericalError("exact mean value does not fit a double")
+        return self.mean
 
 
 def truncated_reciprocal(
@@ -120,11 +126,10 @@ def truncated_reciprocal(
 
     zero_c = ExactCoeff.zero(len(basis)) if ftilde.exact else 0j
     coeffs: dict[tuple, Coeff] = {}
+    queued = {zero_freq.coords}
     heap = [(Fraction(0), zero_freq.coords)]
     while heap:
         dist, alpha = heapq.heappop(heap)
-        if alpha in coeffs:
-            continue
         if coeffs:
             r = zero_c
             for beta, _, neg_c in steps:
@@ -137,8 +142,10 @@ def truncated_reciprocal(
             raise NumericalError("reciprocal series overflowed in float mode; use exact mode")
         coeffs[alpha] = r
         for beta, step, _ in steps:
-            if dist + step <= cut:
-                heapq.heappush(heap, (dist + step, tuple(a + b for a, b in zip(alpha, beta))))
+            nxt = tuple(a + b for a, b in zip(alpha, beta))
+            if nxt not in queued and dist + step <= cut:
+                queued.add(nxt)
+                heapq.heappush(heap, (dist + step, nxt))
     terms = [ExpTerm(c, Frequency(k)) for k, c in coeffs.items()]
     return TruncatedSeries(normalize(terms, basis, ftilde.exact), cut, end)
 
@@ -304,7 +311,10 @@ def semigroup_contains(
 
 
 def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:
-    """Mean value of g over the zeros of f per unit of window height."""
+    """Mean value of g over the zeros of f per unit of window height.
+
+    Exact mode leaves A_first, A_last and mean None where they overflow a double.
+    """
     a_first = _a_value(f, g, End.FIRST)
     a_last = _a_value(f, g, End.LAST)
     neg, pos = support_semigroup_generators(f)
@@ -322,12 +332,14 @@ def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:
                 (v.to_complex() * b for v, b in zip(diff.twopi, bf)), 0j
             ))
             a_first, a_last = a_first.to_complex(bf), a_last.to_complex(bf)
-        except OverflowError as exc:
-            raise NumericalError("exact mean value does not fit a double") from exc
+        except OverflowError:
+            a_first = a_last = mean = cmath.inf  # does not fit a double, as below
     else:
         mean = (a_last - a_first) / TWO_PI
     if not all(cmath.isfinite(z) for z in (a_first, a_last, mean)):
-        raise NumericalError("mean value is not finite in double precision")
+        if not exact_extras:
+            raise NumericalError("mean value is not finite in double precision")
+        a_first = a_last = mean = None
     return MeanValueResult(
         A_first=a_first,
         A_last=a_last,

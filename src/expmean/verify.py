@@ -60,14 +60,10 @@ def _row(search: ZeroSearch, g: ExponentialSum, symbolic: complex) -> ReportRow:
 
 
 def empirical_mean(
-    f: ExponentialSum,
-    g: ExponentialSum,
-    R: float,
-    cfg: QuadratureConfig | None = None,
-    margin: float = 0.5,
+    f: ExponentialSum, g: ExponentialSum, R: float, cfg: QuadratureConfig | None = None
 ) -> tuple[complex, float]:
     """S(R')/2R' at the safe ordinate R' near R; returns (mean, R')."""
-    row = _row(search_zeros(f, R, cfg, margin), g, 0j)
+    row = _row(search_zeros(f, R, cfg), g, 0j)
     return row.empirical_mean, row.R
 
 
@@ -77,7 +73,6 @@ def convergence_report(
     R_list: list[float],
     cfg: QuadratureConfig | None = None,
     tol: float = 0.05,
-    margin: float = 0.5,
 ) -> ConvergenceReport:
     """Empirical means along increasing heights against the symbolic value.
 
@@ -97,8 +92,8 @@ def convergence_report(
         raise InputError("heights must be strictly increasing")
     from .meanvalue import mean_value
 
-    symbolic = mean_value(f, g).mean
-    rows = [_row(search_zeros(f, r, cfg, margin), g, symbolic) for r in R_list]
+    symbolic = mean_value(f, g).float_mean()
+    rows = [_row(search_zeros(f, r, cfg), g, symbolic) for r in R_list]
     rows.sort(key=lambda row: row.R)
     ratios = []
     for a, b in zip(rows, rows[1:]):

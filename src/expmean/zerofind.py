@@ -51,6 +51,8 @@ _WINDING_TOL = 0.25
 _STABLE_EPS = 0.05
 _NEWTON_TOL = 1e-12
 _MAX_DEPTH = 60
+# tail margin of strip_bound: any value below 1 keeps every zero in the strip
+_STRIP_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,14 @@ class ZeroSearch:
     rect: Rect
 
 
-def strip_bound(f: ExponentialSum, margin: float = 0.5) -> float:
-    """Smallest B with both coefficient tail sums <= margin at |Re z| = B.
+def strip_bound(f: ExponentialSum) -> float:
+    """Smallest B with both coefficient tail sums <= _STRIP_MARGIN at |Re z| = B.
 
     Beyond the strip the factored-out extreme term dominates the rest of
-    the sum by at least (1 - margin), so no zero escapes it.
+    the sum by at least 1 - _STRIP_MARGIN, so no zero escapes it.
     """
     if f.num_terms() < 2:
         raise InputError("a strip bound needs at least two terms")
-    if not (0 < margin < 1):
-        raise InputError("margin must lie in (0, 1)")
     freqs, coeffs = f.numeric_parts()
     mags = np.abs(coeffs)
     with np.errstate(over="ignore", divide="ignore"):
@@ -136,17 +136,17 @@ def strip_bound(f: ExponentialSum, margin: float = 0.5) -> float:
         def tail(b: float) -> float:
             return float(np.sum(ratio * np.exp(-2 * math.pi * b * gap)))
 
-        if tail(0.0) <= margin:
+        if tail(0.0) <= _STRIP_MARGIN:
             return 0.0
         hi = 1.0
-        while tail(hi) > margin:
+        while tail(hi) > _STRIP_MARGIN:
             hi *= 2.0
             if hi > 1e9:
                 raise NumericalError("strip bound bisection failed to bracket")
         lo = 0.0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            if tail(mid) <= margin:
+            if tail(mid) <= _STRIP_MARGIN:
                 hi = mid
             else:
                 lo = mid
@@ -275,7 +275,7 @@ def safe_ordinate(f: ExponentialSum, R: float) -> float:
         raise InputError("safe ordinate needs at least two terms")
     w = default_window(f)
     ws = _Workspace(f)
-    b = strip_bound(f, 0.5)
+    b = strip_bound(f)
     return _best_ordinate(ws, [1.0], float(R), w, b)
 
 
@@ -364,12 +364,7 @@ def _accounts_for(ws: _Workspace, z: complex, count: int, box: Rect) -> bool:
         return False
 
 
-def search_zeros(
-    f: ExponentialSum,
-    R: float,
-    cfg: QuadratureConfig | None = None,
-    margin: float = 0.5,
-) -> ZeroSearch:
+def search_zeros(f: ExponentialSum, R: float, cfg: QuadratureConfig | None = None) -> ZeroSearch:
     """Zeros with |Im z| < height near R, plus the contour bookkeeping.
 
     Boxes are bisected until they are small; a small box is then claimed
@@ -384,7 +379,7 @@ def search_zeros(
     if not (math.isfinite(R) and R > 0):
         raise InputError(f"half-height R must be finite and positive, got {R!r}")
     ws = _Workspace(f)
-    b = strip_bound(f, margin)
+    b = strip_bound(f)
     window = min(default_window(f), 0.5 * float(R))
     height = _best_ordinate(ws, [1.0, -1.0], float(R), window, b)
     outer = Rect(-b, b, -height, height)

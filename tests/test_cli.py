@@ -18,6 +18,7 @@ from expmean.cli import (
     run,
 )
 from expmean.errors import InputError, NumericalError
+from expmean.zerofind import Zero
 
 SQRT2 = "1.41421356237309504880168872421"
 
@@ -341,6 +342,32 @@ def test_empty_r_list_message(problem_file, capsys):
     assert "empty --R-list" in capsys.readouterr().err
 
 
+_UNREAD_FLAGS = {
+    "mean": ["--R", "--R-list", "--tol", "--seed", "--emit-points", "--margin"],
+    "laurent-check": ["--R", "--R-list", "--tol", "--seed", "--emit-points", "--margin"],
+    "density": ["--R-list", "--tol", "--emit-points", "--margin"],
+    "zeros": ["--R-list", "--tol", "--margin"],
+    "verify": ["--R", "--emit-points", "--margin"],
+}
+_FLAG_VALUES = {"--R": "2", "--R-list": "1,2", "--tol": "0.1", "--seed": "1",
+                "--emit-points": "points.csv", "--margin": "0.5"}
+_UNREAD = [(command, flag) for command, flags in _UNREAD_FLAGS.items() for flag in flags]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag):
+    def unread(path):
+        raise AssertionError("the problem file was read")
+
+    monkeypatch.setattr("expmean.cli.load_problem", unread)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--input", "problem.json", flag, _FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "points.csv").exists()
+
+
 @pytest.mark.parametrize(
     "mode, tiny",
     # a float-mode denormal, and an exact part whose double image underflows to zero
@@ -396,8 +423,8 @@ def test_render_failure_exit_code(problem_file, capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
 def test_mean_beyond_double_range_exit_code(problem_file, capsys, mode):
-    # the mean is about 10^836: float mode overflows inside the series and
-    # exact mode cannot project its exact answer onto a double
+    # the mean is about 9e835: float mode overflows inside the series, and
+    # exact mode prints its exact answer with the float fields null
     doc = {
         "mode": mode,
         "f": [
@@ -407,10 +434,39 @@ def test_mean_beyond_double_range_exit_code(problem_file, capsys, mode):
         ],
         "g": [{"coeff": [1, 0], "freq": "2000"}],
     }
-    assert run(["mean", "--input", problem_file(doc)]) == 3
+    path = problem_file(doc)
+    if mode == "float":
+        assert run(["mean", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        return
+    res = run_json(["mean", "--input", path], capsys)["results"]
+    assert res["A_first"] is None and res["A_last"] is None and res["M"] is None
+    [[re, im]] = res["mean_exact"]
+    assert im == "0" and len(re) == 836
+    # verify and laurent-check need the mean as a double
+    assert run(["verify", "--R-list", "1,2", "--input", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "numerical failure" in captured.err
+    assert "exact mean value does not fit a double" in captured.err
+    assert run(["laurent-check", "--input", path]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_numerical_failure_reports_partial_zeros(problem_file, capsys, monkeypatch):
+    path = problem_file(TWO_TERM_DOC)
+
+    def boom(*args, **kwargs):
+        raise NumericalError("synthetic failure", partial=[Zero(complex(0.25, -0.5), 2)])
+
+    monkeypatch.setattr("expmean.cli.search_zeros", boom)
+    assert run(["zeros", "--input", path, "--R", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, partial = captured.err.splitlines()
+    assert "synthetic failure" in message
+    assert json.loads(partial) == [{"re": 0.25, "im": -0.5, "multiplicity": 2}]
 
 
 def test_output_bytes_deterministic(problem_file, capsys):

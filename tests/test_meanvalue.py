@@ -92,6 +92,12 @@ def test_reciprocal_rejects_wrong_side_frequencies():
         truncated_reciprocal(exp_sum([(1, 0), (1, 1)]), End.LAST, 1)
 
 
+@pytest.mark.parametrize("cutoff", [-3, Fraction(-1, 2), "-1", math.inf, math.nan, "1/0"])
+def test_reciprocal_rejects_negative_or_non_finite_cutoff(cutoff):
+    with pytest.raises(InputError, match="cutoff"):
+        truncated_reciprocal(exp_sum([(1, 0), (1, 1)]), End.FIRST, cutoff)
+
+
 def test_reciprocal_truncation_soundness():
     # ftilde * (1/ftilde) == 1 up to the cutoff, at both ends
     rng = random.Random(17)

@@ -46,7 +46,7 @@ def tail_sums(f, b):
 
 
 def test_strip_bound_two_term_closed_form():
-    b = strip_bound(TWO_TERM, 0.5)
+    b = strip_bound(TWO_TERM)
     assert abs(b - math.log(2) / (2 * math.pi)) < 1e-11
 
 
@@ -59,7 +59,7 @@ def test_strip_bound_is_tight_and_sufficient():
             for k in rng.sample(range(-6, 7), n)
         ]
         f = exp_sum(pairs)
-        b = strip_bound(f, 0.5)
+        b = strip_bound(f)
         hi = tail_sums(f, b)
         assert max(hi) <= 0.5 + 1e-9
         if b > 1e-9:
@@ -70,18 +70,14 @@ def test_strip_bound_is_tight_and_sufficient():
 def test_strip_bound_three_term_irrational():
     basis = FrequencyBasis(("1", SQRT2))
     f = exp_sum([(1, (0, 0)), (1, (1, 0)), (1, (0, 1))], basis)
-    b = strip_bound(f, 0.5)
+    b = strip_bound(f)
     first, last = tail_sums(f, b)
     assert max(first, last) <= 0.5 + 1e-9
 
 
 def test_strip_bound_input_checks():
     with pytest.raises(InputError):
-        strip_bound(exp_sum([(1, 2)]), 0.5)
-    with pytest.raises(InputError):
-        strip_bound(TWO_TERM, 0.0)
-    with pytest.raises(InputError):
-        strip_bound(TWO_TERM, 1.0)
+        strip_bound(exp_sum([(1, 2)]))
 
 
 def test_winding_count_examples():
@@ -231,7 +227,7 @@ def test_search_zeros_conservation_and_containment():
         s = search_zeros(f, R)
         total = sum(z.multiplicity for z in s.zeros)
         assert total == s.outer_winding
-        b = strip_bound(f, 0.5)
+        b = strip_bound(f)
         assert abs(s.height - R) <= default_window(f) + 1e-12
         for z in s.zeros:
             assert abs(z.location.real) < b + 1e-9
