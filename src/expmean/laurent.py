@@ -149,7 +149,14 @@ def residue_end_coefficient(f: LaurentPolynomial, g: LaurentPolynomial, end: End
         raise InputError("series expansion requires a non-zero denominator")
     if g.is_zero():
         return 0j
-    return constant_term_A(_exp_image(f), _exp_image(g), end) / TWO_PI
+    F, G = _exp_image(f), _exp_image(g)
+    try:
+        return constant_term_A(F, G, end) / TWO_PI
+    except NumericalError as exc:
+        # the float-mode advice of the series engine does not apply here
+        raise NumericalError(
+            "residue route overflowed: the Laurent routes run on double-precision images"
+        ) from exc
 
 
 def residue_formula_sum(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:

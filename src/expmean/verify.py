@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .sums import ExponentialSum, evaluate
-from .zerofind import QuadratureConfig, Zero, ZeroSearch, search_zeros
+from .zerofind import QuadratureConfig, Zero, safe_ordinate, search_zeros
 
 # flat-trend allowance for the median consecutive-error ratio
 _TREND_SLACK = 0.9
+# the relative residual bound zerofind certifies for each zero: an error of
+# S(R)/2R within this fraction of sum mult * |g(z)| / 2R is rounding noise
+_NOISE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,7 @@ class ReportRow:
     weighted_sum: complex
     empirical_mean: complex
     abs_error: float
+    noise_floor: float  # _NOISE_REL * sum of mult * |g(z)| / 2R
 
 
 @dataclass(frozen=True)
@@ -40,22 +44,22 @@ class ConvergenceReport:
 
 def weighted_sum(zeros: list[Zero], g: ExponentialSum) -> complex:
     """Sum of g over the zero list, multiplicities included."""
-    total = 0j
-    for z in zeros:
-        total += z.multiplicity * evaluate(g, z.location)
-    return total
+    return sum((z.multiplicity * evaluate(g, z.location) for z in zeros), 0j)
 
 
-def _row(search: ZeroSearch, g: ExponentialSum, symbolic: complex) -> ReportRow:
-    """S(R')/2R' over a search up to the safe ordinate R', with its error against symbolic."""
-    s = weighted_sum(search.zeros, g)
-    emp = s / (2.0 * search.height)
+def _row(zeros: list[Zero], height: float, g: ExponentialSum, symbolic: complex) -> ReportRow:
+    """S(h)/2h over the zeros with |Im z| < h, with its error against symbolic."""
+    inside = [z for z in zeros if abs(z.location.imag) < height]
+    terms = [z.multiplicity * evaluate(g, z.location) for z in inside]
+    s = sum(terms, 0j)
+    emp = s / (2.0 * height)
     return ReportRow(
-        R=search.height,
-        count=sum(z.multiplicity for z in search.zeros),
+        R=height,
+        count=sum(z.multiplicity for z in inside),
         weighted_sum=s,
         empirical_mean=emp,
         abs_error=abs(emp - symbolic),
+        noise_floor=_NOISE_REL * sum(map(abs, terms)) / (2.0 * height),
     )
 
 
@@ -63,7 +67,8 @@ def empirical_mean(
     f: ExponentialSum, g: ExponentialSum, R: float, cfg: QuadratureConfig | None = None
 ) -> tuple[complex, float]:
     """S(R')/2R' at the safe ordinate R' near R; returns (mean, R')."""
-    row = _row(search_zeros(f, R, cfg), g, 0j)
+    search = search_zeros(f, R, cfg)
+    row = _row(search.zeros, search.height, g, 0j)
     return row.empirical_mean, row.R
 
 
@@ -76,13 +81,21 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Empirical means along increasing heights against the symbolic value.
 
+    Each rung R gets the height safe_ordinate(f, R).  The strips are
+    nested, so one search_zeros under the highest of these lines serves
+    the whole ladder, and each row sums g over the zeros below its own
+    height.  That is the top rung unless two rungs lie closer than the
+    ordinate window.
+
     The verdict passes when the error at the largest height is below tol
     and the consecutive error ratios do not trend upward.  The boundary
     contribution to S(R)/2R fluctuates quasi-periodically, so over small
     height ladders a genuinely converging error trend can look flat;
     the median ratio therefore only needs to clear 1 minus a small slack
     rather than 1 exactly.  No rate is asserted beyond that, only
-    boundedness-driven shrinkage.
+    boundedness-driven shrinkage.  In the trend an error at or below the
+    row's noise floor counts as zero: a ratio of two rounding errors says
+    nothing about convergence.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and positive, got {tol!r}")
@@ -93,16 +106,18 @@ def convergence_report(
     from .meanvalue import mean_value
 
     symbolic = mean_value(f, g).float_mean()
-    rows = [_row(search_zeros(f, r, cfg), g, symbolic) for r in R_list]
-    rows.sort(key=lambda row: row.R)
+    heights = [safe_ordinate(f, r) for r in R_list]
+    zeros = search_zeros(f, R_list[heights.index(max(heights))], cfg).zeros
+    rows = sorted((_row(zeros, h, g, symbolic) for h in heights), key=lambda row: row.R)
+    errors = [0.0 if r.abs_error <= r.noise_floor else r.abs_error for r in rows]
     ratios = []
-    for a, b in zip(rows, rows[1:]):
-        if a.abs_error == 0 and b.abs_error == 0:
+    for a, b in zip(errors, errors[1:]):
+        if a == 0 and b == 0:
             ratios.append(1.0)
-        elif b.abs_error == 0:
+        elif b == 0:
             ratios.append(float("inf"))
         else:
-            ratios.append(a.abs_error / b.abs_error)
+            ratios.append(a / b)
     verdict = rows[-1].abs_error < tol and statistics.median(ratios) >= _TREND_SLACK
     return ConvergenceReport(
         symbolic_mean=symbolic, rows=rows, verdict=verdict, tolerance=tol

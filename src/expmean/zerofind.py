@@ -10,8 +10,10 @@ small surrounding square.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
-window |Im z - R| < 1/(4(a_n - a_1)) always contains an ordinate whose
-line stays clear of every zero; safe_ordinate picks the measured best one.
+window |R' - R| <= min(1/(4(a_n - a_1)), R/2) always contains an ordinate R'
+whose lines Im z = +-R' stay clear of every zero.  safe_ordinate is the one
+rule that picks the measured best one: search_zeros(f, R) searches up to
+safe_ordinate(f, R), and a verify ladder gives each rung that height.
 Interior cut lines get deterministic seeded jitter when a contour lands
 too close to a zero, keeping runs reproducible; the jitter seed in
 QuadratureConfig is the search's only setting.
@@ -109,7 +111,6 @@ class ZeroSearch:
     strip: float
     height: float
     outer_winding: int
-    rect: Rect
 
 
 def strip_bound(f: ExponentialSum) -> float:
@@ -231,12 +232,12 @@ def _line_minimum(ws: _Workspace, ordinate: float, b: float, samples: int = 241)
     return float(vals.min())
 
 
-def _best_ordinate(ws: _Workspace, targets: list[float], r: float, window: float, b: float) -> float:
-    """Ordinate r' with |r' - r| <= window maximizing the worst line minimum
-    over the lines {sign * r' : sign in targets}; exact center wins ties."""
+def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
+    """Ordinate r' with |r' - r| <= window maximizing the worse line minimum
+    of the two lines Im z = +-r'; exact center wins ties."""
 
     def score(r_val: float) -> float:
-        return min(_line_minimum(ws, s * r_val, b) for s in targets)
+        return min(_line_minimum(ws, r_val, b), _line_minimum(ws, -r_val, b))
 
     best_r = r
     best_v = score(r)
@@ -264,19 +265,25 @@ def default_window(f: ExponentialSum) -> float:
     return 1.0 / (4.0 * span)
 
 
-def safe_ordinate(f: ExponentialSum, R: float) -> float:
-    """An ordinate near R whose horizontal line stays clear of zeros.
-
-    Fewer than n zeros can occupy any horizontal strip of height under
-    1/(a_n - a_1), so the window around R always contains a line at a
-    positive distance from every zero; this returns the sampled best one.
-    """
+def _ordinate_step(f: ExponentialSum, R: float) -> tuple[_Workspace, float, float]:
+    """Workspace, strip bound B and safe ordinate of the search at R."""
     if f.num_terms() < 2:
-        raise InputError("safe ordinate needs at least two terms")
-    w = default_window(f)
+        raise InputError("zero search needs at least two terms")
+    if not (math.isfinite(R) and R > 0):
+        raise InputError(f"half-height R must be finite and positive, got {R!r}")
     ws = _Workspace(f)
     b = strip_bound(f)
-    return _best_ordinate(ws, [1.0], float(R), w, b)
+    return ws, b, _best_ordinate(ws, float(R), min(default_window(f), 0.5 * float(R)), b)
+
+
+def safe_ordinate(f: ExponentialSum, R: float) -> float:
+    """The height of search_zeros(f, R): R' near R with both lines Im z = +-R' clear of zeros.
+
+    Fewer than n zeros can occupy any horizontal strip of height under
+    1/(a_n - a_1), so the window |R' - R| <= min(1/(4(a_n - a_1)), R/2)
+    holds a line clear of every zero; this returns the sampled best one.
+    """
+    return _ordinate_step(f, R)[2]
 
 
 def _bisect(
@@ -374,18 +381,11 @@ def search_zeros(f: ExponentialSum, R: float, cfg: QuadratureConfig | None = Non
     zero gets its own representative.
     """
     cfg = cfg or QuadratureConfig()
-    if f.num_terms() < 2:
-        raise InputError("zero search needs at least two terms")
-    if not (math.isfinite(R) and R > 0):
-        raise InputError(f"half-height R must be finite and positive, got {R!r}")
-    ws = _Workspace(f)
-    b = strip_bound(f)
-    window = min(default_window(f), 0.5 * float(R))
-    height = _best_ordinate(ws, [1.0, -1.0], float(R), window, b)
+    ws, b, height = _ordinate_step(f, R)
     outer = Rect(-b, b, -height, height)
     total = _winding(ws, outer)
     if total == 0:
-        return ZeroSearch([], b, height, 0, outer)
+        return ZeroSearch([], b, height, 0)
 
     points: list[complex] = []
     stack: list[tuple[Rect, int, int]] = [(outer, total, 0)]
@@ -418,7 +418,7 @@ def search_zeros(f: ExponentialSum, R: float, cfg: QuadratureConfig | None = Non
     for z in zeros:
         if not (abs(z.location.real) < b + 1e-12 and abs(z.location.imag) < height):
             raise NumericalError(f"refined zero {z.location} escaped the search box")
-    return ZeroSearch(zeros, b, height, total, outer)
+    return ZeroSearch(zeros, b, height, total)
 
 
 def _collect(ws: _Workspace, points: list[complex], total: int, check: bool) -> list[Zero]:

@@ -4,7 +4,7 @@ bench/tracing.py counts work by replacing names in the expmean modules, so
 a rename in the library would otherwise break only the traced benchmark
 run.  This installs the tracer, runs the benchmark's probe ops (one small
 run of every command on problems/*.json) and checks that each layer counted
-some work.
+some work and that each verify report ran one zero search.
 """
 
 import importlib.util
@@ -47,3 +47,5 @@ def test_tracer_wraps_every_layer(capsys, monkeypatch):
         "cli.render_bytes",
     ):
         assert counts.get(key, 0) > 0, key
+    # one zero search serves a whole verify ladder
+    assert counts["verify.searches"] == counts["verify.reports"]

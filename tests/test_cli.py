@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +265,17 @@ def test_verify_reports_pass(problem_file, capsys):
     assert res["symbolic_mean"] == [-1.0, 0.0]
 
 
+def test_verify_verdict_reads_no_rounding_noise(capsys, monkeypatch):
+    # both rows match the symbolic mean 5 to about 4e-12, so their error
+    # ratio is a ratio of rounding noise and says nothing about the trend
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    argv = ["verify", "--input", "problems/laurent_quadratic.json", "--R-list", "1.5,2.5"]
+    res = run_json(argv, capsys)["results"]
+    assert [row["count"] for row in res["rows"]] == [6, 10]
+    assert all(0 < row["abs_error"] < 1e-9 for row in res["rows"])
+    assert res["verdict"] == "pass"
+
+
 def test_laurent_check_agreement(problem_file, capsys):
     path = problem_file(QUADRATIC_DOC)
     env = run_json(["laurent-check", "--input", path], capsys)
@@ -450,8 +462,12 @@ def test_mean_beyond_double_range_exit_code(problem_file, capsys, mode):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exact mean value does not fit a double" in captured.err
+    # the Laurent routes run on double-precision images in either mode
     assert run(["laurent-check", "--input", path]) == 3
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "double-precision images" in captured.err
+    assert "use exact mode" not in captured.err
 
 
 def test_numerical_failure_reports_partial_zeros(problem_file, capsys, monkeypatch):

@@ -22,7 +22,10 @@ CASES = [
     (f"{path.stem}.{command}", [command, "--input", f"problems/{path.name}"])
     for path in sorted((ROOT / "problems").glob("*.json"))
     for command in ("mean", "laurent-check")
-] + [("two_term.zeros-R2", ["zeros", "--R", "2", "--input", "problems/two_term.json"])]
+] + [
+    ("two_term.zeros-R2", ["zeros", "--R", "2", "--input", "problems/two_term.json"]),
+    ("sqrt2.verify", ["verify", "--R-list", "1,2,3", "--input", "problems/sqrt2.json"]),
+]
 
 # sqrt2.json has an irrational basis and so no Laurent image: exit 2, no report
 INPUT_ERRORS = {"sqrt2.laurent-check"}

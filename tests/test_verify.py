@@ -1,23 +1,26 @@
 """Tests for the empirical mean and convergence reporting."""
 
-import math
+import cmath
 
 import pytest
 
+from expmean import verify
 from expmean.errors import InputError
 from expmean.laurent import mean_via_substitution
 from expmean.meanvalue import mean_value
-from expmean.sums import exp_sum, one_sum
+from expmean.sums import FrequencyBasis, exp_sum, one_sum
 from expmean.verify import (
     convergence_report,
     empirical_mean,
     fewnomial_check,
     weighted_sum,
 )
-from expmean.zerofind import Zero, find_zeros
+from expmean.zerofind import Zero, find_zeros, search_zeros
 
 TWO_TERM = exp_sum([(1, 0), (1, 1)])
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])
+SQRT2_BASIS = FrequencyBasis(("1", "1.41421356237309504880168872421"))
+SQRT2_SUM = exp_sum([(1, (0, 0)), (1, (1, 0)), (1, (0, 1))], SQRT2_BASIS)
 
 
 def test_weighted_sum_examples():
@@ -112,3 +115,40 @@ def test_report_matches_symbolic_mean_three_term():
     rep = convergence_report(THREE_TERM, g, [4.5, 9.5], tol=0.3)
     assert abs(rep.symbolic_mean - mean_value(THREE_TERM, g).mean) < 1e-12
     assert rep.verdict
+
+
+@pytest.mark.parametrize(
+    "f, g, ladder, top",
+    [
+        (TWO_TERM, exp_sum([(1, -1)]), [1.5, 2.6, 4.2], 4.2),
+        (THREE_TERM, exp_sum([(1, 1)]), [2.4, 3.7, 5.5], 5.5),
+        (SQRT2_SUM, exp_sum([(1, (0, 1))], SQRT2_BASIS), [1.0, 2.0, 3.0], 3.0),
+        # 0.1 apart, inside the ordinate window 1/(4 sqrt 2): the line of the
+        # lower rung lies higher, so the one search runs there
+        (SQRT2_SUM, exp_sum([(1, (0, 1))], SQRT2_BASIS), [2.0, 2.1], 2.0),
+    ],
+    ids=["two-term", "three-term", "sqrt2", "sqrt2-close-rungs"],
+)
+def test_ladder_rows_match_separate_searches(f, g, ladder, top, monkeypatch):
+    searched = []
+
+    def counting_search(f, R, cfg=None):
+        searched.append(R)
+        return search_zeros(f, R, cfg)
+
+    monkeypatch.setattr(verify, "search_zeros", counting_search)
+    rep = convergence_report(f, g, ladder, tol=1.0)
+    assert searched == [top]
+    separate = sorted((search_zeros(f, r) for r in ladder), key=lambda s: s.height)
+    assert len(rep.rows) == len(separate)
+    for row, s in zip(rep.rows, separate):
+        assert (row.R, row.count) == (s.height, sum(z.multiplicity for z in s.zeros))
+        assert cmath.isclose(row.weighted_sum, weighted_sum(s.zeros, g), rel_tol=1e-9)
+
+
+def test_noise_floor_scales_with_the_row_sum():
+    rep = convergence_report(THREE_TERM, exp_sum([(1, 1)]), [4.5, 9.5], tol=0.3)
+    for row in rep.rows:
+        # |g| is 2 or 3 at every zero, so the floor sits between 1e-9 * 2 and 1e-9 * 3
+        per_zero = row.noise_floor * 2 * row.R / (1e-9 * row.count)
+        assert 2 - 1e-6 < per_zero < 3 + 1e-6

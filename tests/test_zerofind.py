@@ -130,9 +130,9 @@ def test_safe_ordinate_keeps_clear_height():
 
 
 def test_safe_ordinate_prefers_strictly_better_line():
-    # from 0.25 the window reaches the zero-free line Im = 0, which has a
-    # strictly larger minimum than the equidistant start
-    assert safe_ordinate(TWO_TERM, 0.25) == 0.0
+    # from 0.25 the window, capped at R/2, reaches down to Im = 0.125, whose
+    # lines have a strictly larger minimum than the equidistant start
+    assert safe_ordinate(TWO_TERM, 0.25) == 0.125
 
 
 def test_find_zeros_two_term():
@@ -225,6 +225,7 @@ def test_search_zeros_match_laurent_roots(exponents, polar, R):
 def test_search_zeros_conservation_and_containment():
     for f, R in ((TWO_TERM, 4.2), (THREE_TERM, 3.7), (DOUBLE, 2.6)):
         s = search_zeros(f, R)
+        assert safe_ordinate(f, R) == s.height
         total = sum(z.multiplicity for z in s.zeros)
         assert total == s.outer_winding
         b = strip_bound(f)
