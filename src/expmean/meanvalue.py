@@ -11,6 +11,10 @@ series over the semigroup those frequencies generate, and its coefficients
 follow from the power-series inversion recurrence in one pass outward from
 frequency zero.  Only the finitely many terms within the frequency reach of
 g * f' can meet it at frequency 0, so the constant term is well defined.
+The pass walks an integer lattice, each coordinate counted in units of its
+common denominator, with plain complex or Gaussian-rational coefficients,
+and raises ResourceLimitError once it has queued more than
+_MAX_SERIES_TERMS points.
 The mean value of g over the zeros of f, per unit height of a widening
 horizontal window, is
 
@@ -24,14 +28,14 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InputError, NumericalError, ResourceLimitError
-from .exact import ExactCoeff, GaussianRational
+from .exact import GR_ZERO, ExactCoeff, GaussianRational
 from .sums import (
-    Coeff,
     End,
     ExpTerm,
     ExponentialSum,
@@ -43,10 +47,12 @@ from .sums import (
     divide_by_extreme_term,
     extreme_term,
     multiply,
-    normalize,
 )
 
 CutoffLike = Union[int, float, str, Fraction]
+
+# points one reciprocal series may queue before it gives up
+_MAX_SERIES_TERMS = 100_000
 
 
 def _as_cutoff(c: CutoffLike) -> Fraction:
@@ -106,48 +112,93 @@ def truncated_reciprocal(
     fixes each coefficient from ones strictly nearer to frequency zero, so
     one pass over the points of the semigroup generated by the betas, in
     increasing distance from zero up to the cutoff, gives every term.
-    Float mode raises NumericalError once a coefficient overflows.
+
+    The pass runs on an integer lattice: coordinate i is counted in units
+    of 1/den[i], the common denominator of the betas' i-th coordinates, and
+    distance in units of 1/scale, the common denominator of the basis
+    values over den, so points are int tuples and distances ints.  The
+    recurrence runs on plain complex or Gaussian-rational scalars; an exact
+    coefficient with a 2*pi part is an input error.  The terms come out in
+    order of distance, so two nonzero ones at one distance mean the basis
+    is not Q-linearly independent.  Queuing more than _MAX_SERIES_TERMS
+    points raises ResourceLimitError; float mode raises NumericalError once
+    a coefficient overflows.
     """
     cut = _as_cutoff(cutoff)
     basis = ftilde.basis
-    zero_freq = Frequency((Fraction(0),) * len(basis))
+    n = len(basis)
+    zero_freq = Frequency((Fraction(0),) * n)
     c0 = ftilde.coefficient_at(zero_freq)
     is_one = c0.is_one() if ftilde.exact else c0 == 1
     if not is_one:
         raise InputError("reciprocal expansion requires a constant term equal to one")
+    if ftilde.exact:
+        if any(t.coeff.has_twopi() for t in ftilde.terms):
+            raise InputError("reciprocal expansion requires coefficients without a 2*pi part")
+        zero, one = GR_ZERO, c0.scalar
+    else:
+        zero, one = 0j, c0
     sign = 1 if end is End.FIRST else -1
-    steps = []  # (beta, distance of beta from zero, -c_beta)
+    den = [math.lcm(*(t.freq.coords[i].denominator for t in ftilde.terms)) for i in range(n)]
+    units = [b / d for b, d in zip(basis.fraction_values, den)]
+    scale = math.lcm(*(u.denominator for u in units))
+    weights = [sign * int(u * scale) for u in units]
+    int_cut = math.floor(cut * scale)
+    steps = []  # (beta on the lattice, its distance from zero, -c_beta)
     for t in ftilde.terms:
-        dist = sign * basis.value_key(t.freq)
+        beta = tuple(int(q * d) for q, d in zip(t.freq.coords, den))
+        dist = sum(w * b for w, b in zip(weights, beta))
         if dist < 0:
             raise InputError(f"{end.value}-end expansion given a frequency past its end")
-        if 0 < dist <= cut:
-            steps.append((t.freq.coords, dist, -t.coeff))
+        if 0 < dist <= int_cut:
+            steps.append((beta, dist, -(t.coeff.scalar if ftilde.exact else t.coeff)))
 
-    zero_c = ExactCoeff.zero(len(basis)) if ftilde.exact else 0j
-    coeffs: dict[tuple, Coeff] = {}
-    queued = {zero_freq.coords}
-    heap = [(Fraction(0), zero_freq.coords)]
+    coeffs: dict[tuple[int, ...], Union[complex, GaussianRational]] = {}
+    kept = []  # (alpha, r_alpha) for r_alpha != 0, in order of distance
+    kept_dist = None
+    origin = (0,) * n
+    queued = {origin}
+    heap = [(0, origin)]
     while heap:
         dist, alpha = heapq.heappop(heap)
         if coeffs:
-            r = zero_c
+            r = zero
             for beta, _, neg_c in steps:
                 prev = coeffs.get(tuple(a - b for a, b in zip(alpha, beta)))
                 if prev is not None:
                     r = r + neg_c * prev
         else:
-            r = c0
+            r = one
         if not ftilde.exact and not cmath.isfinite(r):
             raise NumericalError("reciprocal series overflowed in float mode; use exact mode")
         coeffs[alpha] = r
+        if r != zero:
+            if dist == kept_dist:
+                raise InputError(
+                    "distinct frequency vectors share one numeric value; "
+                    "the declared basis is not Q-linearly independent"
+                )
+            kept.append((alpha, r))
+            kept_dist = dist
         for beta, step, _ in steps:
             nxt = tuple(a + b for a, b in zip(alpha, beta))
-            if nxt not in queued and dist + step <= cut:
+            if nxt not in queued and dist + step <= int_cut:
                 queued.add(nxt)
+                if len(queued) > _MAX_SERIES_TERMS:
+                    raise ResourceLimitError(
+                        f"reciprocal series exceeded its budget of {_MAX_SERIES_TERMS} terms"
+                    )
                 heapq.heappush(heap, (dist + step, nxt))
-    terms = [ExpTerm(c, Frequency(k)) for k, c in coeffs.items()]
-    return TruncatedSeries(normalize(terms, basis, ftilde.exact), cut, end)
+    if end is End.LAST:
+        kept.reverse()
+    terms = tuple(
+        ExpTerm(
+            ExactCoeff.plain(r, n) if ftilde.exact else r,
+            Frequency(tuple(Fraction(a, d) for a, d in zip(alpha, den))),
+        )
+        for alpha, r in kept
+    )
+    return TruncatedSeries(ExponentialSum(terms, basis, ftilde.exact), cut, end)
 
 
 def _edge_quotient(f: ExponentialSum, g: ExponentialSum, end: End) -> ExponentialSum:

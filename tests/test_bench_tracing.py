@@ -4,7 +4,9 @@ bench/tracing.py counts work by replacing names in the expmean modules, so
 a rename in the library would otherwise break only the traced benchmark
 run.  This installs the tracer, runs the benchmark's probe ops (one small
 run of every command on problems/*.json) and checks that each layer counted
-some work and that each verify report ran one zero search.
+some work, that each verify report ran one zero search, and that the
+probe's reciprocal series do exactly the counted work of the benchmark's
+baseline.
 """
 
 import importlib.util
@@ -49,3 +51,6 @@ def test_tracer_wraps_every_layer(capsys, monkeypatch):
         assert counts.get(key, 0) > 0, key
     # one zero search serves a whole verify ladder
     assert counts["verify.searches"] == counts["verify.reports"]
+    # the series work the benchmark counts: a kernel change must not move it
+    assert counts["meanvalue.reciprocal_calls"] == 10
+    assert counts["meanvalue.series_terms"] == 12

@@ -298,6 +298,18 @@ def test_laurent_check_degree_budget(problem_file, capsys):
     assert "exceeds the budget" in captured.err
 
 
+def test_mean_series_budget(problem_file, capsys):
+    # the highest end of 1 + e(1) would expand to frequency 10**6
+    doc = {
+        "f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1"}],
+        "g": [{"coeff": [1, 0], "freq": "1000000"}],
+    }
+    assert run(["mean", "--input", problem_file(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget of 100000 terms" in captured.err
+
+
 def test_laurent_check_needs_rational_basis(problem_file, capsys):
     path = problem_file(SQRT2_DOC)
     assert run(["laurent-check", "--input", path]) == 2

@@ -1,11 +1,15 @@
 """Tests for the constant-term pipeline and the mean-value identities."""
 
+import heapq
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expmean import meanvalue
 from expmean.errors import InputError, ResourceLimitError
 from expmean.exact import ExactCoeff, GaussianRational, GR_ZERO
 from expmean.meanvalue import (
@@ -23,16 +27,22 @@ from expmean.sums import (
     DEFAULT_BASIS,
     End,
     ExponentialSum,
+    ExpTerm,
     Frequency,
     FrequencyBasis,
+    derivative,
+    divide_by_extreme_term,
     exp_sum,
     multiply,
+    normalize,
     one_sum,
     reflect,
     zero_sum,
 )
 
 SQRT2 = "1.41421356237309504880168872421"
+SQRT3 = "1.73205080756887729352744634151"
+BASIS3 = FrequencyBasis(("1", SQRT2, SQRT3))
 
 
 def random_exact_sum(rng, max_terms=5, spread=8):
@@ -101,8 +111,6 @@ def test_reciprocal_rejects_negative_or_non_finite_cutoff(cutoff):
 def test_reciprocal_truncation_soundness():
     # ftilde * (1/ftilde) == 1 up to the cutoff, at both ends
     rng = random.Random(17)
-    from expmean.sums import divide_by_extreme_term
-
     for _ in range(60):
         f = random_exact_sum(rng)
         for end in (End.FIRST, End.LAST):
@@ -113,6 +121,99 @@ def test_reciprocal_truncation_soundness():
             prod = multiply(ft, s.sum)
             kept = [t for t in prod.terms if sign * f.basis.value_key(t.freq) <= cut]
             assert ExponentialSum(tuple(kept), f.basis, True) == one_sum(f.basis, True)
+
+
+def _reference_reciprocal(ftilde, end, cut):
+    """The recurrence walked on Fraction coordinates, then sorted by normalize."""
+    basis = ftilde.basis
+    sign = 1 if end is End.FIRST else -1
+    steps = [
+        (t.freq.coords, sign * basis.value_key(t.freq), -t.coeff)
+        for t in ftilde.terms
+        if 0 < sign * basis.value_key(t.freq) <= cut
+    ]
+    origin = (Fraction(0),) * len(basis)
+    zero = ExactCoeff.zero(len(basis)) if ftilde.exact else 0j
+    coeffs = {}
+    queued, heap = {origin}, [(Fraction(0), origin)]
+    while heap:
+        dist, alpha = heapq.heappop(heap)
+        if coeffs:
+            r = zero
+            for beta, _, neg_c in steps:
+                prev = coeffs.get(tuple(a - b for a, b in zip(alpha, beta)))
+                if prev is not None:
+                    r = r + neg_c * prev
+        else:
+            r = ftilde.coefficient_at(Frequency(origin))
+        coeffs[alpha] = r
+        for beta, step, _ in steps:
+            nxt = tuple(a + b for a, b in zip(alpha, beta))
+            if nxt not in queued and dist + step <= cut:
+                queued.add(nxt)
+                heapq.heappush(heap, (dist + step, nxt))
+    return normalize([ExpTerm(c, Frequency(k)) for k, c in coeffs.items()], basis, ftilde.exact)
+
+
+# fractional coordinates over {1, sqrt2, sqrt3}: the lattice denominators are 2, 3 and 1
+FRACTIONAL_FTILDE = [
+    ((1, 0), (0, 0, 0)),
+    ((Fraction(-1, 2), Fraction(1, 3)), ("1/2", 0, 0)),
+    ((Fraction(2, 3), 0), (0, "1/3", 0)),
+    ((0, Fraction(-3, 4)), (0, 0, 1)),
+    ((Fraction(1, 5), Fraction(1, 5)), ("-1/2", "2/3", 0)),
+]
+
+
+@pytest.mark.parametrize("end", [End.FIRST, End.LAST])
+@pytest.mark.parametrize("exact", [True, False])
+def test_reciprocal_kernel_oracle(end, exact):
+    sign = 1 if end is End.FIRST else -1
+    pairs = [(c, tuple(sign * Fraction(x) for x in v)) for c, v in FRACTIONAL_FTILDE]
+    ftilde = exp_sum(pairs, BASIS3, exact)
+    cut = Fraction(4)
+    series = truncated_reciprocal(ftilde, end, cut).sum
+    assert series == _reference_reciprocal(ftilde, end, cut)
+    assert series.num_terms() > 100
+    assert all(sign * v <= cut for v in series.freq_values())
+    # (1/2, 1/3, 0) = (1/2, 0, 0) + (0, 1/3, 0) has coefficient 2 c_1 c_2
+    mixed = Frequency((sign * Fraction(1, 2), sign * Fraction(1, 3), Fraction(0)))
+    assert mixed in {t.freq for t in series.terms}
+    kept = [t for t in multiply(ftilde, series).terms if sign * BASIS3.value_key(t.freq) <= cut]
+    if exact:
+        assert ExponentialSum(tuple(kept), BASIS3, True) == one_sum(BASIS3, True)
+        return
+    for t in kept:
+        target = 1 if t.freq.is_zero() else 0
+        assert abs(t.coeff - target) < 1e-12
+
+
+def test_reciprocal_dependent_basis_shares_a_value():
+    # with basis (1, 2) the points (2, 0) and (0, 1) both sit at 2
+    ftilde = exp_sum([(1, (0, 0)), (1, (1, 0)), (1, (0, 1))], FrequencyBasis(("1", "2")))
+    assert truncated_reciprocal(ftilde, End.FIRST, Fraction(3, 2)).sum.num_terms() == 2
+    with pytest.raises(InputError, match="share one numeric value"):
+        truncated_reciprocal(ftilde, End.FIRST, 2)
+
+
+def test_reciprocal_rejects_derivative_scaled_exact_coefficients():
+    # 1 + 2*pi*(e(1) + e(2)): the 2*pi parts are rejected before any term is
+    # computed, even when the cutoff would never multiply two of them
+    ftilde = one_sum(exact=True) + derivative(exp_sum([(1, 1), (Fraction(1, 2), 2)], exact=True))
+    for cut in (0, 1, 5):
+        with pytest.raises(InputError, match="2\\*pi part"):
+            truncated_reciprocal(ftilde, End.FIRST, cut)
+
+
+def test_reciprocal_series_budget(monkeypatch):
+    ftilde = exp_sum([(1, 0), (1, 1)])
+    with pytest.raises(ResourceLimitError, match="budget of 100000 terms"):
+        truncated_reciprocal(ftilde, End.FIRST, 10**6)
+    # the walk queues points 0..cut: 10 fit a budget of 10, 11 do not
+    monkeypatch.setattr(meanvalue, "_MAX_SERIES_TERMS", 10)
+    assert truncated_reciprocal(ftilde, End.FIRST, 9).sum.num_terms() == 10
+    with pytest.raises(ResourceLimitError):
+        truncated_reciprocal(ftilde, End.FIRST, 10)
 
 
 # ------------------------------------------------------------ constant term
@@ -244,6 +345,58 @@ def test_mean_value_support_vanishing():
         r = mean_value(f, g)
         assert all(v.is_zero() for v in r.mean_exact)
         checked += 1
+
+
+BASIS2 = FrequencyBasis(("1", SQRT2))
+# unit phases with rational parts, so every coefficient is exact and its
+# modulus is the drawn one
+PHASES = [(1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5))]
+# f's coordinates stay in {0, 1/2, 1}, so its steps lie at least
+# |1/2 - sqrt2/2| = 0.207 from zero and every series stays a few hundred terms
+F_COORD = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+G_COORD = st.sampled_from([Fraction(k, 2) for k in range(-2, 3)])
+COEFF = st.tuples(st.fractions(Fraction(1, 2), Fraction(2), max_denominator=4), st.sampled_from(PHASES)).map(
+    lambda mp: (mp[0] * mp[1][0], mp[0] * mp[1][1])
+)
+
+
+def _sums(coord, min_size, max_size):
+    freqs = st.lists(st.tuples(coord, coord), min_size=min_size, max_size=max_size, unique=True)
+    return freqs.flatmap(
+        lambda fs: st.lists(COEFF, min_size=len(fs), max_size=len(fs)).map(
+            lambda cs: exp_sum(list(zip(cs, fs)), BASIS2, exact=True)
+        )
+    )
+
+
+def _scaled(c, s):
+    return multiply(exp_sum([(c, (0, 0))], BASIS2, exact=True), s)
+
+
+@settings(max_examples=50)
+@given(
+    _sums(F_COORD, 2, 4),
+    _sums(G_COORD, 1, 3),
+    _sums(G_COORD, 1, 3),
+    COEFF,
+    COEFF,
+    st.tuples(G_COORD, G_COORD),
+)
+def test_mean_value_invariants(f, g, h, lam, c, b):
+    result = mean_value(f, g)
+    base = result.mean_exact
+    # linear in g
+    lam_gr = GaussianRational.of(*lam)
+    combined = mean_value(f, g + _scaled(lam, h)).mean_exact
+    assert combined == tuple(x + lam_gr * y for x, y in zip(base, mean_value(f, h).mean_exact))
+    # f, c*f and e(b)*f have the same zeros
+    assert mean_value(_scaled(c, f), g).mean_exact == base
+    assert mean_value(multiply(exp_sum([(1, b)], BASIS2, exact=True), f), g).mean_exact == base
+    # z -> -z maps the zeros of f to those of reflect(f), and g with them
+    assert mean_value(reflect(f), reflect(g)).mean_exact == base
+    # float mode agrees with exact mode
+    approx = mean_value(f.to_float_mode(), g.to_float_mode()).mean
+    assert abs(approx - result.mean) <= 1e-9 * max(1.0, abs(result.mean))
 
 
 # ----------------------------------------------------------------- zero count
