@@ -30,7 +30,6 @@ from .laurent import (
 from .meanvalue import (
     MeanValueResult,
     constant_term_A,
-    constant_term_A_exact,
     mean_value,
     mean_zero_count,
     semigroup_contains,
@@ -61,7 +60,6 @@ from .verify import (
     ConvergenceReport,
     ReportRow,
     convergence_report,
-    empirical_mean,
     fewnomial_check,
     weighted_sum,
 )
@@ -70,12 +68,10 @@ from .zerofind import (
     Rect,
     Zero,
     ZeroSearch,
-    default_window,
     find_zeros,
     safe_ordinate,
     search_zeros,
     strip_bound,
-    winding_count,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +96,6 @@ __all__ = [
     "sum_over_roots",
     "MeanValueResult",
     "constant_term_A",
-    "constant_term_A_exact",
     "mean_value",
     "mean_zero_count",
     "semigroup_contains",
@@ -127,18 +122,15 @@ __all__ = [
     "ConvergenceReport",
     "ReportRow",
     "convergence_report",
-    "empirical_mean",
     "fewnomial_check",
     "weighted_sum",
     "QuadratureConfig",
     "Rect",
     "Zero",
     "ZeroSearch",
-    "default_window",
     "find_zeros",
     "safe_ordinate",
     "search_zeros",
     "strip_bound",
-    "winding_count",
     "__version__",
 ]

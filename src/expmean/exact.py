@@ -32,7 +32,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not an exact rational: {x!r}") from exc
     raise InputError(f"not an exact rational: {x!r}")
 
 

@@ -53,6 +53,8 @@ CutoffLike = Union[int, float, str, Fraction]
 
 # points one reciprocal series may queue before it gives up
 _MAX_SERIES_TERMS = 100_000
+# multiplier choices one semigroup membership search may expand
+_MAX_SEMIGROUP_NODES = 1_000_000
 
 
 def _as_cutoff(c: CutoffLike) -> Fraction:
@@ -72,8 +74,6 @@ class TruncatedSeries:
     """A formal series kept exactly up to |frequency| <= cutoff."""
 
     sum: ExponentialSum
-    cutoff: Fraction
-    end: End
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def truncated_reciprocal(
         )
         for alpha, r in kept
     )
-    return TruncatedSeries(ExponentialSum(terms, basis, ftilde.exact), cut, end)
+    return TruncatedSeries(ExponentialSum(terms, basis, ftilde.exact))
 
 
 def _edge_quotient(f: ExponentialSum, g: ExponentialSum, end: End) -> ExponentialSum:
@@ -212,17 +212,8 @@ def _edge_quotient(f: ExponentialSum, g: ExponentialSum, end: End) -> Exponentia
     return multiply(multiply(g, derivative(f)), inv_sum)
 
 
-def _a_value(
-    f: ExponentialSum,
-    g: ExponentialSum,
-    end: End,
-    extra_cutoff: Fraction = Fraction(0),
-):
-    """Constant term A at the chosen end, in the inputs' coefficient mode.
-
-    extra_cutoff widens the series cutoff past the provably sufficient
-    one; the result must not depend on it.
-    """
+def _a_value(f: ExponentialSum, g: ExponentialSum, end: End):
+    """Constant term A at the chosen end, in the inputs' coefficient mode."""
     if f.is_zero():
         raise InputError("mean-value computation requires a non-zero denominator sum")
     basis = f.basis
@@ -232,9 +223,9 @@ def _a_value(
         return zero_c
     values = [basis.value_key(t.freq) for t in p.terms]
     if end is End.FIRST:
-        cut = max(Fraction(0), -min(values)) + extra_cutoff
+        cut = max(Fraction(0), -min(values))
     else:
-        cut = max(Fraction(0), max(values)) + extra_cutoff
+        cut = max(Fraction(0), max(values))
     ftilde = divide_by_extreme_term(f, end)
     series = truncated_reciprocal(ftilde, end, cut)
     series_at = {t.freq.coords: t.coeff for t in series.sum.terms}
@@ -254,52 +245,36 @@ def constant_term_A(f: ExponentialSum, g: ExponentialSum, end: End) -> complex:
     return a
 
 
-def constant_term_A_exact(f: ExponentialSum, g: ExponentialSum, end: End) -> ExactCoeff:
-    """Exact-mode A; requires exact coefficients on both inputs."""
-    if not (f.exact and g.exact):
-        raise InputError("exact constant term requires exact-mode sums")
-    return _a_value(f, g, end)
-
-
 def support_semigroup_generators(
     f: ExponentialSum,
 ) -> tuple[list[Frequency], list[Frequency]]:
     """Difference sets at each end: (lowest - others, highest - others).
 
     The mean of exp(2*pi*a*z) over the zeros of f can only be nonzero
-    when a lies in the semigroup generated by one of these sets; zero
-    differences are dropped, duplicates appear once.
+    when a lies in the semigroup generated by one of these sets.  The terms
+    have distinct increasing values, so each list is distinct, nonzero and
+    ascending.
     """
     if f.is_zero():
         raise InputError("zero sum has no frequency ends")
     first = f.terms[0].freq
     last = f.terms[-1].freq
-    neg: dict[tuple, Frequency] = {}
-    pos: dict[tuple, Frequency] = {}
-    for t in f.terms[1:]:
-        d = first - t.freq
-        neg[d.coords] = d
-    for t in f.terms[:-1]:
-        d = last - t.freq
-        pos[d.coords] = d
-    key = f.basis.value_key
     return (
-        sorted(neg.values(), key=key),
-        sorted(pos.values(), key=key),
+        [first - t.freq for t in reversed(f.terms[1:])],
+        [last - t.freq for t in reversed(f.terms[:-1])],
     )
 
 
 def semigroup_contains(
     generators: list[Frequency],
     alpha: Frequency,
-    bound: int = 1_000_000,
     basis: FrequencyBasis = DEFAULT_BASIS,
 ) -> bool:
     """Exact test: is alpha a non-negative integer combination of generators?
 
     All generators must have numeric values of one strict sign.  Search is
-    depth-first over multiplier choices with value-based pruning; `bound`
-    caps node expansions and overrunning it raises rather than guessing.
+    depth-first over multiplier choices with value-based pruning; more than
+    _MAX_SEMIGROUP_NODES node expansions raise rather than guess.
     """
     if alpha.is_zero():
         return True
@@ -341,7 +316,7 @@ def semigroup_contains(
             return rem.is_zero()
         if idx == len(gens) - 1:
             nodes += 1
-            if nodes > bound:
+            if nodes > _MAX_SEMIGROUP_NODES:
                 raise ResourceLimitError("semigroup membership search exceeded node bound")
             m = rem_val / vals[idx]
             if m.denominator != 1:
@@ -351,7 +326,7 @@ def semigroup_contains(
         top = int(rem_val / vals[idx])
         for m in range(top, -1, -1):
             nodes += 1
-            if nodes > bound:
+            if nodes > _MAX_SEMIGROUP_NODES:
                 raise ResourceLimitError("semigroup membership search exceeded node bound")
             step = Frequency(tuple(c * m for c in gens[idx].coords))
             if dfs(idx + 1, rem - step, rem_val - m * vals[idx]):

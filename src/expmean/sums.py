@@ -165,11 +165,15 @@ def _coerce_coeff(c, exact: bool, basis_len: int) -> Coeff:
         raise InputError("exact coefficient passed to a float-mode sum")
     if isinstance(c, GaussianRational):
         return c.to_complex()
-    if isinstance(c, (str, Fraction)):
-        return complex(float(as_fraction(c)))
     if isinstance(c, tuple) and len(c) == 2:
-        return complex(float(c[0]), float(c[1]))
+        return complex(_float_part(c[0]), _float_part(c[1]))
+    if isinstance(c, (str, Fraction)):
+        return complex(_float_part(c))
     return complex(c)
+
+
+def _float_part(x) -> float:
+    return float(as_fraction(x)) if isinstance(x, (str, Fraction)) else float(x)
 
 
 def _coeff_zero(c) -> bool:
@@ -255,30 +259,22 @@ def _check_same_basis(a: ExponentialSum, b: ExponentialSum) -> None:
         raise InputError("operands mix exact and float coefficient modes")
 
 
-def normalize(
-    raw_terms: Iterable[ExpTerm], basis: FrequencyBasis, exact: bool | None = None
-) -> ExponentialSum:
+def normalize(raw_terms: Iterable[ExpTerm], basis: FrequencyBasis, exact: bool) -> ExponentialSum:
     """Merge equal frequencies, drop zero coefficients, sort ascending.
 
-    Idempotent.  ``exact`` pins the coefficient mode; when omitted it is
-    inferred from the terms (an empty list infers float mode).  Raises if
-    two distinct frequency vectors collide at the same numeric value,
-    which can only happen when the declared basis is not Q-linearly
+    Idempotent.  Every coefficient must be of the mode ``exact`` names.
+    Raises if two distinct frequency vectors collide at the same numeric
+    value, which can only happen when the declared basis is not Q-linearly
     independent at the represented precision.
     """
     raw = list(raw_terms)
     for t in raw:
-        is_ex = _coeff_is_exact(t.coeff)
-        if exact is None:
-            exact = is_ex
-        elif exact != is_ex:
+        if _coeff_is_exact(t.coeff) != exact:
             raise InputError("term list mixes exact and float coefficients")
         if len(t.freq.coords) != len(basis):
             raise InputError(
                 f"term frequency has {len(t.freq.coords)} coordinates, basis has {len(basis)}"
             )
-    if exact is None:
-        exact = False
 
     merged: dict[tuple[Fraction, ...], Coeff] = {}
     for t in raw:

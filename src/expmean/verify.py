@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .sums import ExponentialSum, evaluate
-from .zerofind import QuadratureConfig, Zero, safe_ordinate, search_zeros
+from .zerofind import _RESIDUAL_TOL, QuadratureConfig, Zero, safe_ordinate, search_zeros
 
 # flat-trend allowance for the median consecutive-error ratio
 _TREND_SLACK = 0.9
-# the relative residual bound zerofind certifies for each zero: an error of
-# S(R)/2R within this fraction of sum mult * |g(z)| / 2R is rounding noise
-_NOISE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,7 @@ class ReportRow:
     weighted_sum: complex
     empirical_mean: complex
     abs_error: float
-    noise_floor: float  # _NOISE_REL * sum of mult * |g(z)| / 2R
+    noise_floor: float  # rounding noise: _RESIDUAL_TOL * sum of mult * |g(z)| / 2R
 
 
 @dataclass(frozen=True)
@@ -59,17 +56,8 @@ def _row(zeros: list[Zero], height: float, g: ExponentialSum, symbolic: complex)
         weighted_sum=s,
         empirical_mean=emp,
         abs_error=abs(emp - symbolic),
-        noise_floor=_NOISE_REL * sum(map(abs, terms)) / (2.0 * height),
+        noise_floor=_RESIDUAL_TOL * sum(map(abs, terms)) / (2.0 * height),
     )
-
-
-def empirical_mean(
-    f: ExponentialSum, g: ExponentialSum, R: float, cfg: QuadratureConfig | None = None
-) -> tuple[complex, float]:
-    """S(R')/2R' at the safe ordinate R' near R; returns (mean, R')."""
-    search = search_zeros(f, R, cfg)
-    row = _row(search.zeros, search.height, g, 0j)
-    return row.empirical_mean, row.R
 
 
 def convergence_report(

@@ -14,6 +14,8 @@ window |R' - R| <= min(1/(4(a_n - a_1)), R/2) always contains an ordinate R'
 whose lines Im z = +-R' stay clear of every zero.  safe_ordinate is the one
 rule that picks the measured best one: search_zeros(f, R) searches up to
 safe_ordinate(f, R), and a verify ladder gives each rung that height.
+Both refuse an expected zero count 2R(a_n - a_1) above _MAX_ZEROS before
+any evaluation.  Every zero found meets the residual bound _RESIDUAL_TOL.
 Interior cut lines get deterministic seeded jitter when a contour lands
 too close to a zero, keeping runs reproducible; the jitter seed in
 QuadratureConfig is the search's only setting.
@@ -33,6 +35,7 @@ from .errors import (
     ContourTooCloseError,
     InputError,
     NumericalError,
+    ResourceLimitError,
 )
 from .sums import (
     ExponentialSum,
@@ -53,6 +56,9 @@ _WINDING_TOL = 0.25
 _STABLE_EPS = 0.05
 _NEWTON_TOL = 1e-12
 _MAX_DEPTH = 60
+_SCAN_SAMPLES = 241
+_RESIDUAL_TOL = 1e-9
+_MAX_ZEROS = 10_000
 # tail margin of strip_bound: any value below 1 keeps every zero in the strip
 _STRIP_MARGIN = 0.5
 
@@ -221,13 +227,8 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
     )
 
 
-def winding_count(f: ExponentialSum, rect: Rect) -> int:
-    """Number of zeros inside the rectangle, counted with multiplicity."""
-    return _winding(_Workspace(f), rect)
-
-
-def _line_minimum(ws: _Workspace, ordinate: float, b: float, samples: int = 241) -> float:
-    xs = np.linspace(-b, b, samples)
+def _line_minimum(ws: _Workspace, ordinate: float, b: float) -> float:
+    xs = np.linspace(-b, b, _SCAN_SAMPLES)
     vals = np.abs(evaluate_array(ws.f, xs + 1j * ordinate))
     return float(vals.min())
 
@@ -256,24 +257,21 @@ def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
     return float(best_r)
 
 
-def default_window(f: ExponentialSum) -> float:
-    """Half-length of the ordinate search window: 1/(4*(a_n - a_1))."""
-    vals = f.freq_values()
-    span = float(vals[-1] - vals[0])
-    if span <= 0:
-        raise InputError("ordinate window needs two distinct frequencies")
-    return 1.0 / (4.0 * span)
-
-
 def _ordinate_step(f: ExponentialSum, R: float) -> tuple[_Workspace, float, float]:
     """Workspace, strip bound B and safe ordinate of the search at R."""
     if f.num_terms() < 2:
         raise InputError("zero search needs at least two terms")
     if not (math.isfinite(R) and R > 0):
         raise InputError(f"half-height R must be finite and positive, got {R!r}")
+    vals = f.freq_values()
+    span = float(vals[-1] - vals[0])  # > 0: normalized terms have distinct values
+    expected = 2.0 * float(R) * span
+    if expected > _MAX_ZEROS:
+        msg = f"{expected:.6g} expected zeros exceed the zero budget of {_MAX_ZEROS}"
+        raise ResourceLimitError(msg)
     ws = _Workspace(f)
     b = strip_bound(f)
-    return ws, b, _best_ordinate(ws, float(R), min(default_window(f), 0.5 * float(R)), b)
+    return ws, b, _best_ordinate(ws, float(R), min(1.0 / (4.0 * span), 0.5 * float(R)), b)
 
 
 def safe_ordinate(f: ExponentialSum, R: float) -> float:
@@ -400,7 +398,7 @@ def search_zeros(f: ExponentialSum, R: float, cfg: QuadratureConfig | None = Non
                 continue
             if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
                 z = box.center()
-                if not ws.small_residual(z, 1e-9):
+                if not ws.small_residual(z, _RESIDUAL_TOL):
                     raise NumericalError(
                         f"could not refine the zero inside {box} below the residual bound"
                     )
@@ -447,7 +445,7 @@ def _collect(ws: _Workspace, points: list[complex], total: int, check: bool) -> 
                 "multiplicities do not add up to the boundary winding count", partial=zeros
             )
         for z in zeros:
-            if not ws.small_residual(z.location, 1e-9):
+            if not ws.small_residual(z.location, _RESIDUAL_TOL):
                 raise NumericalError(
                     f"zero at {z.location} fails the residual bound", partial=zeros
                 )

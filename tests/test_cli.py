@@ -310,6 +310,20 @@ def test_mean_series_budget(problem_file, capsys):
     assert "budget of 100000 terms" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["zeros", "--R", "1e9"], ["density", "--R", "1e9"], ["verify", "--R-list", "1,1e9"]],
+    ids=["zeros", "density", "verify"],
+)
+def test_zero_budget_exit_code(problem_file, capsys, flags):
+    # 1 + e(1) has 2R zeros below height R
+    path = problem_file(TWO_TERM_DOC)
+    assert run(flags + ["--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zero budget of 10000" in captured.err
+
+
 def test_laurent_check_needs_rational_basis(problem_file, capsys):
     path = problem_file(SQRT2_DOC)
     assert run(["laurent-check", "--input", path]) == 2

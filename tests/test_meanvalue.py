@@ -15,8 +15,8 @@ from expmean.exact import ExactCoeff, GaussianRational, GR_ZERO
 from expmean.meanvalue import (
     MeanValueResult,
     _a_value,
+    _edge_quotient,
     constant_term_A,
-    constant_term_A_exact,
     mean_value,
     mean_zero_count,
     semigroup_contains,
@@ -222,8 +222,8 @@ def test_reciprocal_series_budget(monkeypatch):
 def test_constant_term_two_term_hand_values():
     f = exp_sum([(1, 0), (1, 1)], exact=True)
     g = exp_sum([(1, -1)], exact=True)
-    a1 = constant_term_A_exact(f, g, End.FIRST)
-    an = constant_term_A_exact(f, g, End.LAST)
+    result = mean_value(f, g)
+    a1, an = result.A_first_exact, result.A_last_exact
     assert a1 == ExactCoeff(GR_ZERO, (GaussianRational.of(1),))  # exactly 2*pi
     assert an.is_zero()
     assert abs(constant_term_A(f, g, End.FIRST) - 2 * math.pi) < 1e-15
@@ -235,8 +235,7 @@ def test_constant_term_g_one_is_extreme_frequency():
     for _ in range(100):
         f = random_exact_sum(rng)
         g = one_sum(exact=True)
-        a1 = constant_term_A_exact(f, g, End.FIRST)
-        an = constant_term_A_exact(f, g, End.LAST)
+        a1, an = _a_value(f, g, End.FIRST), _a_value(f, g, End.LAST)
         lo = f.terms[0].freq
         hi = f.terms[-1].freq
         assert a1 == ExactCoeff(
@@ -253,9 +252,17 @@ def test_constant_term_cutoff_independence():
         f = random_exact_sum(rng, max_terms=4)
         g = random_exact_sum(rng, max_terms=3)
         for end in (End.FIRST, End.LAST):
-            base = _a_value(f, g, end)
-            widened = _a_value(f, g, end, extra_cutoff=Fraction(7, 2))
-            assert base == widened
+            # the cutoff _a_value expands to, widened by 7/2
+            p = _edge_quotient(f, g, end)
+            values = [f.basis.value_key(t.freq) for t in p.terms]
+            cut = max(0, -min(values)) if end is End.FIRST else max(0, max(values))
+            series = truncated_reciprocal(divide_by_extreme_term(f, end), end, cut + Fraction(7, 2))
+            series_at = {t.freq: t.coeff for t in series.sum.terms}
+            widened = ExactCoeff.zero(1)
+            for t in p.terms:
+                if -t.freq in series_at:
+                    widened = widened + t.coeff * series_at[-t.freq]
+            assert _a_value(f, g, end) == widened
 
 
 def test_constant_term_zero_f_raises():
@@ -432,9 +439,21 @@ def test_semigroup_generators_single_term_and_duplicates():
     assert neg == [] and pos == []
     f = exp_sum([(1, 0), (1, 1), (1, 2)])
     neg, pos = support_semigroup_generators(f)
-    # 0-1 and 1-2 both give -1 on the neg side of a 3-term arithmetic set
+    # first - others and last - others, each in ascending value
     assert [n.coords for n in neg] == [(Fraction(-2),), (Fraction(-1),)]
     assert [p.coords for p in pos] == [(Fraction(1),), (Fraction(2),)]
+
+
+def test_semigroup_generators_ascending_over_two_basis_values():
+    # values 0 < 1 < sqrt2 < 1 + sqrt2
+    basis = FrequencyBasis(("1", SQRT2))
+    f = exp_sum([(1, (0, 0)), (2, (1, 0)), (3, (0, 1)), (4, (1, 1))], basis)
+    neg, pos = support_semigroup_generators(f)
+    assert [n.coords for n in neg] == [(-1, -1), (0, -1), (-1, 0)]
+    assert [p.coords for p in pos] == [(1, 0), (0, 1), (1, 1)]
+    for gens in (neg, pos):
+        values = [basis.value_key(g) for g in gens]
+        assert values == sorted(values) and len(set(values)) == 3
 
 
 def test_semigroup_contains_examples():
@@ -462,12 +481,13 @@ def test_semigroup_contains_sign_handling():
         semigroup_contains([Frequency.of(0)], Frequency.of(1))
 
 
-def test_semigroup_contains_node_bound():
+def test_semigroup_contains_node_bound(monkeypatch):
     # 11 = 3m + 7k has no solution, so the search must exhaust both branches
     gens = [Frequency.of(-3), Frequency.of(-7)]
-    with pytest.raises(ResourceLimitError):
-        semigroup_contains(gens, Frequency.of(-11), bound=3)
     assert not semigroup_contains(gens, Frequency.of(-11))
+    monkeypatch.setattr(meanvalue, "_MAX_SEMIGROUP_NODES", 3)
+    with pytest.raises(ResourceLimitError):
+        semigroup_contains(gens, Frequency.of(-11))
 
 
 def test_semigroup_contains_vector_not_value():

@@ -67,15 +67,16 @@ def test_normalize_idempotent_random():
     rng = random.Random(101)
     for _ in range(200):
         f = random_sum(rng)
-        g = normalize(f.terms, f.basis)
+        g = normalize(f.terms, f.basis, f.exact)
         assert g == f
 
 
 def test_normalize_rejects_mixed_modes():
     t1 = ExpTerm(1 + 0j, Frequency.of(0))
     t2 = ExpTerm(ExactCoeff.one(1), Frequency.of(1))
-    with pytest.raises(InputError):
-        normalize([t1, t2], DEFAULT_BASIS)
+    for exact in (False, True):
+        with pytest.raises(InputError):
+            normalize([t1, t2], DEFAULT_BASIS, exact)
 
 
 def test_normalize_detects_basis_collision():
@@ -84,7 +85,19 @@ def test_normalize_detects_basis_collision():
     f1 = Frequency((Fraction(1), Fraction(0)))
     f2 = Frequency((Fraction(0), Fraction(2)))
     with pytest.raises(InputError):
-        normalize([ExpTerm(1 + 0j, f1), ExpTerm(1 + 0j, f2)], basis)
+        normalize([ExpTerm(1 + 0j, f1), ExpTerm(1 + 0j, f2)], basis, exact=False)
+
+
+def test_float_mode_coefficient_pairs_parse_rationals():
+    pairs = [(("-1/2", "1/3"), 1), ((Fraction(3, 4), 2), 0), (("7", -1), "1/2")]
+    assert exp_sum(pairs) == exp_sum(pairs, exact=True).to_float_mode()
+    assert exp_sum([(("1/4", 0.5), 0)]).terms[0].coeff == 0.25 + 0.5j
+    for bad in ("1/x", "1/0"):
+        for exact in (False, True):
+            with pytest.raises(InputError):
+                exp_sum([((bad, 0), 1)], exact=exact)
+            with pytest.raises(InputError):
+                exp_sum([(bad, 1)], exact=exact)
 
 
 def test_basis_rejects_nonpositive_values():

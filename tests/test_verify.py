@@ -9,18 +9,19 @@ from expmean.errors import InputError
 from expmean.laurent import mean_via_substitution
 from expmean.meanvalue import mean_value
 from expmean.sums import FrequencyBasis, exp_sum, one_sum
-from expmean.verify import (
-    convergence_report,
-    empirical_mean,
-    fewnomial_check,
-    weighted_sum,
-)
+from expmean.verify import convergence_report, fewnomial_check, weighted_sum
 from expmean.zerofind import Zero, find_zeros, search_zeros
 
 TWO_TERM = exp_sum([(1, 0), (1, 1)])
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])
 SQRT2_BASIS = FrequencyBasis(("1", "1.41421356237309504880168872421"))
 SQRT2_SUM = exp_sum([(1, (0, 0)), (1, (1, 0)), (1, (0, 1))], SQRT2_BASIS)
+
+
+def empirical_mean(f, g, R):
+    """S(R')/2R' at the height R' = safe_ordinate(f, R) of one search, and R'."""
+    s = search_zeros(f, R)
+    return weighted_sum(s.zeros, g) / (2.0 * s.height), s.height
 
 
 def test_weighted_sum_examples():

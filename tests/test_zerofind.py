@@ -11,10 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from expmean import zerofind
 from expmean.errors import (
     ContourOnZeroError,
     ContourTooCloseError,
     InputError,
+    ResourceLimitError,
 )
 from expmean.laurent import laurent, laurent_images, roots_nonzero
 from expmean.sums import FrequencyBasis, coefficient_envelope, evaluate, exp_sum
@@ -22,12 +24,12 @@ from expmean.zerofind import (
     QuadratureConfig,
     Rect,
     Zero,
-    default_window,
+    _winding,
+    _Workspace,
     find_zeros,
     safe_ordinate,
     search_zeros,
     strip_bound,
-    winding_count,
 )
 
 SQRT2 = "1.41421356237309504880168872421"
@@ -35,6 +37,10 @@ SQRT2 = "1.41421356237309504880168872421"
 TWO_TERM = exp_sum([(1, 0), (1, 1)])  # zeros at i(k + 1/2)
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])  # zeros at (ln2 or ln3)/2pi + ik
 DOUBLE = exp_sum([(1, 0), (-2, 1), (1, 2)])  # (e^{2pi z} - 1)^2, double zeros at ik
+
+
+def winding_count(f, rect):
+    return _winding(_Workspace(f), rect)
 
 
 def tail_sums(f, b):
@@ -111,10 +117,30 @@ def test_jitter_seed_is_the_only_setting():
     assert QuadratureConfig().edge_samples_initial == 32
 
 
-def test_default_window_formula():
-    assert abs(default_window(TWO_TERM) - 0.25) < 1e-15
+def test_default_window_formula(monkeypatch):
+    # the ordinate window is min(1/(4(a_n - a_1)), R/2)
+    seen = []
+    best = zerofind._best_ordinate
+
+    def spy(ws, r, window, b):
+        seen.append(window)
+        return best(ws, r, window, b)
+
+    monkeypatch.setattr(zerofind, "_best_ordinate", spy)
+    basis = FrequencyBasis(("1", SQRT2))
+    sqrt2_sum = exp_sum([(1, (0, 0)), (1, (1, 0)), (1, (0, 1))], basis)
+    for f, R, expected in (
+        (TWO_TERM, 10.0, 0.25),
+        (TWO_TERM, 0.25, 0.125),
+        (THREE_TERM, 3.0, 0.125),
+        (sqrt2_sum, 2.0, 1 / (4 * math.sqrt(2))),
+    ):
+        seen.clear()
+        r = safe_ordinate(f, R)
+        assert len(seen) == 1 and abs(seen[0] - expected) < 1e-15
+        assert abs(r - R) <= expected
     with pytest.raises(InputError):
-        default_window(exp_sum([(1, 3)]))
+        safe_ordinate(exp_sum([(1, 3)]), 1.0)
 
 
 def test_safe_ordinate_moves_off_zero():
@@ -133,6 +159,28 @@ def test_safe_ordinate_prefers_strictly_better_line():
     # from 0.25 the window, capped at R/2, reaches down to Im = 0.125, whose
     # lines have a strictly larger minimum than the equidistant start
     assert safe_ordinate(TWO_TERM, 0.25) == 0.125
+
+
+def test_zero_budget_is_checked_before_any_evaluation(monkeypatch):
+    def fail(*args):
+        raise AssertionError("evaluated before the zero budget check")
+
+    for name in ("evaluate_array", "evaluate", "strip_bound"):
+        monkeypatch.setattr(zerofind, name, fail)
+    # 2R(a_n - a_1) = 2e9 expected zeros
+    for call in (search_zeros, safe_ordinate):
+        with pytest.raises(ResourceLimitError, match="zero budget of 10000"):
+            call(TWO_TERM, 1e9)
+
+
+def test_zero_budget_boundary(monkeypatch):
+    monkeypatch.setattr(zerofind, "_MAX_ZEROS", 10)
+    # expected counts: 2 * 5 * 1 = 10 is within the budget, 2 * 5.01 is not
+    assert len(find_zeros(TWO_TERM, 5.0)) == 10
+    with pytest.raises(ResourceLimitError, match="zero budget of 10"):
+        find_zeros(TWO_TERM, 5.01)
+    with pytest.raises(ResourceLimitError):
+        safe_ordinate(THREE_TERM, 2.51)
 
 
 def test_find_zeros_two_term():
@@ -229,7 +277,8 @@ def test_search_zeros_conservation_and_containment():
         total = sum(z.multiplicity for z in s.zeros)
         assert total == s.outer_winding
         b = strip_bound(f)
-        assert abs(s.height - R) <= default_window(f) + 1e-12
+        span = float(f.freq_values()[-1] - f.freq_values()[0])
+        assert abs(s.height - R) <= 1 / (4 * span) + 1e-12
         for z in s.zeros:
             assert abs(z.location.real) < b + 1e-9
             assert abs(z.location.imag) < s.height
