@@ -64,7 +64,6 @@ from .verify import (
     weighted_sum,
 )
 from .zerofind import (
-    QuadratureConfig,
     Rect,
     Zero,
     ZeroSearch,
@@ -124,7 +123,6 @@ __all__ = [
     "convergence_report",
     "fewnomial_check",
     "weighted_sum",
-    "QuadratureConfig",
     "Rect",
     "Zero",
     "ZeroSearch",

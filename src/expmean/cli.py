@@ -10,8 +10,8 @@ laurent-check rational frequencies only: cross-check the residue route,
               the root sum of the image polynomial, and the mean-value bridge
 
 Every command takes --input (required), --format json|csv and --timing;
-density adds --R and --seed, zeros --R, --seed and --emit-points, and verify
---R-list, --tol and --seed.  Any other flag is a usage error (exit 2).
+density and zeros add --R, and verify --R-list and --tol.  Any other flag
+is a usage error (exit 2).
 
 Problem files are JSON objects with keys ``f``, ``g`` (optional, default the
 constant 1), ``basis`` (optional, default ``["1"]``) and ``mode`` (optional,
@@ -21,7 +21,7 @@ such as ``"3/2"`` or a vector of rational strings matching the basis length.
 In exact mode the coefficient parts must be integers or rational strings.
 
 Reports are JSON envelopes with sorted keys and floats printed to 17
-significant digits, so a given input and seed always produce identical bytes.
+significant digits, so a given input always produces identical bytes.
 The ``timing`` field stays ``null`` unless ``--timing`` is passed.  A zero
 search that fails also prints the zeros it found to stderr as one JSON line.
 """
@@ -44,7 +44,7 @@ from .laurent import laurent_images, residue_formula_sum, sum_over_roots
 from .meanvalue import mean_value, mean_zero_count
 from .sums import ExponentialSum, Frequency, FrequencyBasis, exp_sum, one_sum
 from .verify import convergence_report
-from .zerofind import QuadratureConfig, search_zeros
+from .zerofind import search_zeros
 
 VERSION = "0.1.0"
 
@@ -285,8 +285,7 @@ def cmd_density(problem: Problem, args: argparse.Namespace) -> dict:
         "span": _freq_to_json(span, problem.basis),
     }
     if args.R is not None:
-        cfg = QuadratureConfig(jitter_seed=args.seed)
-        found = search_zeros(f, args.R, cfg)
+        found = search_zeros(f, args.R)
         count = sum(z.multiplicity for z in found.zeros)
         empirical = count / (2.0 * found.height)
         out["R_used"] = found.height
@@ -306,30 +305,20 @@ def _zeros_json(zeros) -> list:
 def cmd_zeros(problem: Problem, args: argparse.Namespace) -> dict:
     if args.R is None:
         raise InputError("zeros needs --R")
-    cfg = QuadratureConfig(jitter_seed=args.seed)
-    found = search_zeros(problem.f, args.R, cfg)
-    zeros = _zeros_json(found.zeros)
-    if args.emit_points:
-        points = render_csv(_result_rows("zeros", {"zeros": zeros}))
-        try:
-            with open(args.emit_points, "w", encoding="utf-8") as fh:
-                fh.write(points)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.emit_points}: {exc}") from exc
+    found = search_zeros(problem.f, args.R)
     return {
         "R_used": found.height,
         "strip_bound": found.strip,
         "outer_winding": found.outer_winding,
         "count": sum(z.multiplicity for z in found.zeros),
-        "zeros": zeros,
+        "zeros": _zeros_json(found.zeros),
     }
 
 
 def cmd_verify(problem: Problem, args: argparse.Namespace) -> dict:
     if not args.R_list:
         raise InputError("verify needs --R-list")
-    cfg = QuadratureConfig(jitter_seed=args.seed)
-    report = convergence_report(problem.f, problem.g, args.R_list, cfg, tol=args.tol)
+    report = convergence_report(problem.f, problem.g, args.R_list, tol=args.tol)
     rows = [
         {
             "R": r.R,
@@ -429,16 +418,14 @@ _FLAGS = {
     "--R": dict(type=float, help="strip half-height"),
     "--R-list": dict(type=_parse_r_list, help="comma separated strip half-heights"),
     "--tol": dict(type=float, default=0.05, help="verification tolerance"),
-    "--seed": dict(type=int, default=0, help="subdivision jitter seed"),
-    "--emit-points": dict(metavar="PATH", help="also write the zeros as CSV to PATH"),
 }
 
 # (help, flags read by the command beyond --input, --format and --timing)
 _SUBCOMMANDS = {
     "mean": ("exact mean value of g over the zeros of f", ()),
-    "density": ("mean number of zeros per unit height", ("--R", "--seed")),
-    "zeros": ("locate zeros inside a strip", ("--R", "--seed", "--emit-points")),
-    "verify": ("compare exact mean against strip averages", ("--R-list", "--tol", "--seed")),
+    "density": ("mean number of zeros per unit height", ("--R",)),
+    "zeros": ("locate zeros inside a strip", ("--R",)),
+    "verify": ("compare exact mean against strip averages", ("--R-list", "--tol")),
     "laurent-check": ("cross-check the rational-frequency routes", ()),
 }
 

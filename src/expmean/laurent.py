@@ -81,16 +81,6 @@ def laurent(terms: Mapping[int, complex]) -> LaurentPolynomial:
     return LaurentPolynomial(terms)
 
 
-def _ordinary_coefficients(p: LaurentPolynomial) -> tuple[list[complex], int]:
-    """Coefficients of z^{-k_min} * p, ascending, plus the shift k_min."""
-    k0 = p.min_exponent()
-    d = p.max_exponent() - k0
-    coeffs = [0j] * (d + 1)
-    for k, c in p.terms.items():
-        coeffs[k - k0] = c
-    return coeffs, k0
-
-
 def roots_nonzero(p: LaurentPolynomial) -> list[tuple[complex, int]]:
     """Roots away from the origin, with multiplicities, sorted by position.
 
@@ -100,13 +90,16 @@ def roots_nonzero(p: LaurentPolynomial) -> list[tuple[complex, int]]:
     """
     if p.is_zero():
         raise InputError("zero polynomial has no root set")
-    if p.exponent_span() > _MAX_DEGREE:
-        raise ResourceLimitError(
-            f"root solve of degree {p.exponent_span()} exceeds the budget of {_MAX_DEGREE}"
-        )
-    coeffs, _ = _ordinary_coefficients(p)
-    if len(coeffs) == 1:
+    span = p.exponent_span()
+    if span > _MAX_DEGREE:
+        raise ResourceLimitError(f"root solve of degree {span} exceeds the budget of {_MAX_DEGREE}")
+    if span == 0:
         return []
+    # ascending coefficients of z^{-k_min} * p
+    k0 = p.min_exponent()
+    coeffs = [0j] * (span + 1)
+    for k, c in p.terms.items():
+        coeffs[k - k0] = c
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             roots = np.roots(coeffs[::-1])
@@ -178,10 +171,7 @@ def laurent_images(
         raise InputError("substitution requires the default rational basis")
     if f.is_zero():
         raise InputError("mean value requires a non-zero denominator sum")
-    fv = [v for v in f.freq_values()] + [v for v in g.freq_values()]
-    q = 1
-    for v in fv:
-        q = q * v.denominator // math.gcd(q, v.denominator)
+    q = math.lcm(*(v.denominator for v in f.freq_values() + g.freq_values()))
 
     def to_laurent(s: ExponentialSum) -> LaurentPolynomial:
         s = s.to_float_mode()

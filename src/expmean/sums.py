@@ -163,13 +163,20 @@ def _coerce_coeff(c, exact: bool, basis_len: int) -> Coeff:
         raise InputError(f"not an exact coefficient: {c!r}")
     if isinstance(c, ExactCoeff):
         raise InputError("exact coefficient passed to a float-mode sum")
-    if isinstance(c, GaussianRational):
-        return c.to_complex()
-    if isinstance(c, tuple) and len(c) == 2:
-        return complex(_float_part(c[0]), _float_part(c[1]))
-    if isinstance(c, (str, Fraction)):
-        return complex(_float_part(c))
-    return complex(c)
+    try:
+        if isinstance(c, GaussianRational):
+            z = c.to_complex()
+        elif isinstance(c, tuple) and len(c) == 2:
+            z = complex(_float_part(c[0]), _float_part(c[1]))
+        elif isinstance(c, (str, Fraction)):
+            z = complex(_float_part(c))
+        else:
+            z = complex(c)
+    except OverflowError as exc:
+        raise InputError(f"coefficient {c!r} is beyond double range") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InputError(f"coefficient {c!r} is not finite")
+    return z
 
 
 def _float_part(x) -> float:

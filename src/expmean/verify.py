@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .sums import ExponentialSum, evaluate
-from .zerofind import _RESIDUAL_TOL, QuadratureConfig, Zero, safe_ordinate, search_zeros
+from .zerofind import _RESIDUAL_TOL, Zero, safe_ordinate, search_zeros
 
 # flat-trend allowance for the median consecutive-error ratio
 _TREND_SLACK = 0.9
@@ -64,7 +64,6 @@ def convergence_report(
     f: ExponentialSum,
     g: ExponentialSum,
     R_list: list[float],
-    cfg: QuadratureConfig | None = None,
     tol: float = 0.05,
 ) -> ConvergenceReport:
     """Empirical means along increasing heights against the symbolic value.
@@ -95,7 +94,7 @@ def convergence_report(
 
     symbolic = mean_value(f, g).float_mean()
     heights = [safe_ordinate(f, r) for r in R_list]
-    zeros = search_zeros(f, R_list[heights.index(max(heights))], cfg).zeros
+    zeros = search_zeros(f, R_list[heights.index(max(heights))]).zeros
     rows = sorted((_row(zeros, h, g, symbolic) for h in heights), key=lambda row: row.R)
     errors = [0.0 if r.abs_error <= r.noise_floor else r.abs_error for r in rows]
     ratios = []

@@ -16,9 +16,9 @@ rule that picks the measured best one: search_zeros(f, R) searches up to
 safe_ordinate(f, R), and a verify ladder gives each rung that height.
 Both refuse an expected zero count 2R(a_n - a_1) above _MAX_ZEROS before
 any evaluation.  Every zero found meets the residual bound _RESIDUAL_TOL.
-Interior cut lines get deterministic seeded jitter when a contour lands
-too close to a zero, keeping runs reproducible; the jitter seed in
-QuadratureConfig is the search's only setting.
+Interior cut lines get deterministic jitter when a contour lands too close
+to a zero, so a search depends on f and R alone: it has no settings, and its
+sizes and tolerances are the constants below.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -101,12 +100,11 @@ class Zero:
     multiplicity: int
 
 
-@dataclass(frozen=True)
 class QuadratureConfig:
-    """The search's one setting, the seed of the cut-line jitter."""
+    """No settings: only the first contour's samples per edge, which the
+    benchmark's tracer reads to size a contour at the refinement cap."""
 
-    jitter_seed: int = 0
-    edge_samples_initial: ClassVar[int] = _EDGE_SAMPLES
+    edge_samples_initial = _EDGE_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -284,13 +282,11 @@ def safe_ordinate(f: ExponentialSum, R: float) -> float:
     return _ordinate_step(f, R)[2]
 
 
-def _bisect(
-    ws: _Workspace, box: Rect, count: int, cfg: QuadratureConfig
-) -> tuple[tuple[Rect, int], tuple[Rect, int]]:
+def _bisect(ws: _Workspace, box: Rect, count: int) -> tuple[tuple[Rect, int], tuple[Rect, int]]:
     """Split a box across its longer side into two halves with windings.
 
     The exact midpoint is tried first, then cuts jittered by a generator
-    seeded from the config and the midpoint; a cut is taken once both
+    seeded from the midpoint and the attempt; a cut is taken once both
     halves wind cleanly and their counts add up.
     """
     vertical = box.width() >= box.height()
@@ -299,7 +295,8 @@ def _bisect(
     for attempt in range(_JITTER_ATTEMPTS):
         cut = mid
         if attempt:
-            rng = random.Random(f"{cfg.jitter_seed}:{mid:.12e}:{attempt}")
+            # the leading "0:" keeps each cut where earlier versions' default seed put it
+            rng = random.Random(f"0:{mid:.12e}:{attempt}")
             cut += rng.uniform(-0.2, 0.2) * (hi - lo)
         if not (lo < cut < hi):
             continue
@@ -369,7 +366,7 @@ def _accounts_for(ws: _Workspace, z: complex, count: int, box: Rect) -> bool:
         return False
 
 
-def search_zeros(f: ExponentialSum, R: float, cfg: QuadratureConfig | None = None) -> ZeroSearch:
+def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     """Zeros with |Im z| < height near R, plus the contour bookkeeping.
 
     Boxes are bisected until they are small; a small box is then claimed
@@ -378,7 +375,6 @@ def search_zeros(f: ExponentialSum, R: float, cfg: QuadratureConfig | None = Non
     near-coincident but distinct zeros, it is bisected further, so each
     zero gets its own representative.
     """
-    cfg = cfg or QuadratureConfig()
     ws, b, height = _ordinate_step(f, R)
     outer = Rect(-b, b, -height, height)
     total = _winding(ws, outer)
@@ -409,7 +405,7 @@ def search_zeros(f: ExponentialSum, R: float, cfg: QuadratureConfig | None = Non
                 "subdivision depth exhausted before isolation",
                 partial=_collect(ws, points, total, check=False),
             )
-        for half, winding in _bisect(ws, box, count, cfg):
+        for half, winding in _bisect(ws, box, count):
             stack.append((half, winding, depth + 1))
 
     zeros = _collect(ws, points, total, check=True)
@@ -452,8 +448,6 @@ def _collect(ws: _Workspace, points: list[complex], total: int, check: bool) -> 
     return zeros
 
 
-def find_zeros(
-    f: ExponentialSum, R: float, cfg: QuadratureConfig | None = None
-) -> list[Zero]:
+def find_zeros(f: ExponentialSum, R: float) -> list[Zero]:
     """All zeros of f with |Im z| < R (up to the safe-ordinate shift)."""
-    return search_zeros(f, R, cfg).zeros
+    return search_zeros(f, R).zeros

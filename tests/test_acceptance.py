@@ -303,8 +303,6 @@ def test_criterion_10_deterministic_reports(tmp_path):
         str(path),
         "--R-list",
         "5,10,20,40,50",
-        "--seed",
-        "0",
     ]
     first = subprocess.run(argv, capture_output=True)
     second = subprocess.run(argv, capture_output=True)

@@ -2,8 +2,15 @@
 
 import expmean
 
-# wrappers that repeated another public path and were retired
-RETIRED = ("winding_count", "default_window", "empirical_mean", "constant_term_A_exact")
+# wrappers that repeated another public path, and the search's retired
+# settings class, all gone from the public surface
+RETIRED = (
+    "winding_count",
+    "default_window",
+    "empirical_mean",
+    "constant_term_A_exact",
+    "QuadratureConfig",
+)
 
 
 def test_all_names_resolve_once():

@@ -100,6 +100,18 @@ def test_float_mode_coefficient_pairs_parse_rationals():
                 exp_sum([(bad, 1)], exact=exact)
 
 
+@pytest.mark.parametrize(
+    "coeff",
+    ["1e400", ("1e400", 0), (0, "-1e400"), 10**400, float("nan"), float("inf"),
+     -float("inf"), complex(1, float("nan")), (1.0, float("inf"))],
+    ids=["lone", "pair-re", "pair-im", "int", "nan", "inf", "-inf", "complex-nan", "pair-inf"],
+)
+def test_float_mode_coefficient_beyond_double_range_is_input_error(coeff):
+    # rejected when the sum is built, not later as a numerical failure
+    with pytest.raises(InputError, match="beyond double range|not finite"):
+        exp_sum([(1, 0), (coeff, 1)])
+
+
 def test_basis_rejects_nonpositive_values():
     with pytest.raises(InputError):
         FrequencyBasis(("0",))

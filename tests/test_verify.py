@@ -133,9 +133,9 @@ def test_report_matches_symbolic_mean_three_term():
 def test_ladder_rows_match_separate_searches(f, g, ladder, top, monkeypatch):
     searched = []
 
-    def counting_search(f, R, cfg=None):
+    def counting_search(f, R):
         searched.append(R)
-        return search_zeros(f, R, cfg)
+        return search_zeros(f, R)
 
     monkeypatch.setattr(verify, "search_zeros", counting_search)
     rep = convergence_report(f, g, ladder, tol=1.0)

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from expmean.errors import (
 )
 from expmean.laurent import laurent, laurent_images, roots_nonzero
 from expmean.sums import FrequencyBasis, coefficient_envelope, evaluate, exp_sum
+from expmean.verify import convergence_report
 from expmean.zerofind import (
     QuadratureConfig,
     Rect,
@@ -112,9 +114,16 @@ def test_rect_and_config_validation():
         Rect(0, 1, 2, 1)
 
 
-def test_jitter_seed_is_the_only_setting():
-    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["jitter_seed"]
+def test_search_has_no_settings():
+    # a search depends on f and R alone; QuadratureConfig only holds the
+    # first contour's samples per edge for the benchmark's tracer
+    assert not dataclasses.is_dataclass(QuadratureConfig)
+    assert vars(QuadratureConfig()) == {}
     assert QuadratureConfig().edge_samples_initial == 32
+    params = {fn: list(inspect.signature(fn).parameters)
+              for fn in (search_zeros, find_zeros, convergence_report)}
+    assert params == {search_zeros: ["f", "R"], find_zeros: ["f", "R"],
+                      convergence_report: ["f", "g", "R_list", "tol"]}
 
 
 def test_default_window_formula(monkeypatch):
@@ -307,8 +316,6 @@ def test_find_zeros_deterministic():
     a = find_zeros(THREE_TERM, 5.1)
     b = find_zeros(THREE_TERM, 5.1)
     assert a == b
-    c = find_zeros(THREE_TERM, 5.1, QuadratureConfig(jitter_seed=9))
-    assert sum(z.multiplicity for z in c) == sum(z.multiplicity for z in a)
 
 
 def test_fewnomial_window_on_found_zeros():
