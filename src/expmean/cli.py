@@ -61,15 +61,15 @@ class Problem:
     exact: bool
 
 
-def _parse_part(raw: Any, exact: bool, where: str) -> Fraction | float:
-    """One coefficient part: a Fraction in exact mode, a finite float otherwise."""
+def _parse_part(raw: Any, exact: bool, where: str) -> Fraction | float | int | str:
+    """One coefficient part: a Fraction in exact mode, else the checked raw value for exp_sum."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise InputError(f"{where}: expected a number or rational string")
     try:
         # Fraction(float) is exact and rejects NaN and infinities
         value = Fraction(raw) if isinstance(raw, float) else as_fraction(raw)
         if not exact:
-            return raw if isinstance(raw, float) else float(value)
+            return raw
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{where}: need a finite number or rational string, got {raw!r}") from exc
     if isinstance(raw, float) and value.denominator != 1:
@@ -94,7 +94,7 @@ def _parse_term(item: Any, basis: FrequencyBasis, exact: bool, where: str):
         freq = Frequency.of(freq, n)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: bad frequency {freq!r}") from exc
-    return (GaussianRational(re, im) if exact else complex(re, im)), freq
+    return (GaussianRational(re, im) if exact else (re, im)), freq
 
 
 def _parse_sum(raw: Any, basis: FrequencyBasis, exact: bool, name: str) -> ExponentialSum:

@@ -176,6 +176,9 @@ def _coerce_coeff(c, exact: bool, basis_len: int) -> Coeff:
         raise InputError(f"coefficient {c!r} is beyond double range") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InputError(f"coefficient {c!r} is not finite")
+    parts = (c.re, c.im) if isinstance(c, GaussianRational) else c if isinstance(c, tuple) else (c,)
+    if z == 0 and any((as_fraction(p) if isinstance(p, str) else p) != 0 for p in parts):
+        raise InputError(f"coefficient {c!r} is below double range")
     return z
 
 
@@ -343,7 +346,9 @@ def evaluate_array(f: ExponentialSum, zs: np.ndarray) -> np.ndarray:
     if len(freqs) == 0:
         return np.zeros(zs.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(TWO_PI * np.multiply.outer(zs, freqs)) @ coeffs
+        out = np.multiply.outer(zs, freqs)
+        out *= TWO_PI
+        return np.exp(out, out=out) @ coeffs
 
 
 def coefficient_envelope(f: ExponentialSum, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .sums import ExponentialSum, evaluate
-from .zerofind import _RESIDUAL_TOL, Zero, safe_ordinate, search_zeros
+from .zerofind import _RESIDUAL_TOL, Zero, _ordinate_window, safe_ordinate, search_zeros
 
 # flat-trend allowance for the median consecutive-error ratio
 _TREND_SLACK = 0.9
@@ -72,7 +72,8 @@ def convergence_report(
     nested, so one search_zeros under the highest of these lines serves
     the whole ladder, and each row sums g over the zeros below its own
     height.  That is the top rung unless two rungs lie closer than the
-    ordinate window.
+    ordinate window.  When every lower height lies below the top rung's
+    window, the top rung is highest and its search supplies its height.
 
     The verdict passes when the error at the largest height is below tol
     and the consecutive error ratios do not trend upward.  The boundary
@@ -93,9 +94,14 @@ def convergence_report(
     from .meanvalue import mean_value
 
     symbolic = mean_value(f, g).float_mean()
-    heights = [safe_ordinate(f, r) for r in R_list]
-    zeros = search_zeros(f, R_list[heights.index(max(heights))]).zeros
-    rows = sorted((_row(zeros, h, g, symbolic) for h in heights), key=lambda row: row.R)
+    heights = [safe_ordinate(f, r) for r in R_list[:-1]]
+    if max(heights) < R_list[-1] - _ordinate_window(f, R_list[-1]):
+        search = search_zeros(f, R_list[-1])
+        heights.append(search.height)
+    else:
+        heights.append(safe_ordinate(f, R_list[-1]))
+        search = search_zeros(f, R_list[heights.index(max(heights))])
+    rows = sorted((_row(search.zeros, h, g, symbolic) for h in heights), key=lambda row: row.R)
     errors = [0.0 if r.abs_error <= r.noise_floor else r.abs_error for r in rows]
     ratios = []
     for a, b in zip(errors, errors[1:]):

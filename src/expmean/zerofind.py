@@ -6,7 +6,8 @@ tail is < 1 in modulus beyond the strip, so the sum cannot vanish there.
 Inside the strip the zeros with |Im z| < R are isolated by recursive
 rectangle bisection driven by boundary winding counts, refined by damped
 Newton iteration, and assigned multiplicities by the winding count of a
-small surrounding square.
+small surrounding square.  A winding count compares Simpson rules at
+doubling sample counts and evaluates each contour once.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
@@ -183,38 +184,42 @@ class _Workspace:
         return abs(fz) <= tol * float(coefficient_envelope(self.f, np.array([z.real]))[0])
 
 
-def _simpson_weights(n: int) -> np.ndarray:
+def _simpson_value(deltas: list[complex], edges: np.ndarray) -> complex:
+    """Composite-Simpson value of (1/2*pi*i) * boundary integral of f'/f,
+    from f'/f at n + 1 evenly spaced points on each edge, one row per edge."""
+    n = edges.shape[1] - 1
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / (3.0 * n)
+    w /= 3.0 * n
+    total = 0j
+    for d, edge in zip(deltas, edges):
+        total += d * np.dot(w, edge)
+    return total / (2j * math.pi)
 
 
-def _winding_value(ws: _Workspace, rect: Rect, n: int) -> complex:
-    """Composite-Simpson value of (1/2*pi*i) * boundary integral of f'/f."""
+def _winding(ws: _Workspace, rect: Rect) -> int:
+    """Winding number of f around rect: Simpson values at n and 2n samples per
+    edge, n doubling from _EDGE_SAMPLES, until two agree near an integer.  The
+    first contour, at 2 * _EDGE_SAMPLES, also gives the coarser value from its
+    even samples (t = 2k/2n is bitwise k/n), so each contour is evaluated once."""
     corners = [
         complex(rect.re_min, rect.im_min),
         complex(rect.re_max, rect.im_min),
         complex(rect.re_max, rect.im_max),
         complex(rect.re_min, rect.im_max),
     ]
-    t = np.arange(n + 1) / n
     deltas = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
-    segments = [a + d * t for a, d in zip(corners, deltas)]
-    samples = ws.ratio(np.concatenate(segments))
-    w = _simpson_weights(n)
-    total = 0j
-    for d, edge in zip(deltas, samples.reshape(4, n + 1)):
-        total += d * np.dot(w, edge)
-    return total / (2j * math.pi)
-
-
-def _winding(ws: _Workspace, rect: Rect) -> int:
-    n = _EDGE_SAMPLES
-    prev = _winding_value(ws, rect, n)
-    for _ in range(_MAX_EDGE_DOUBLINGS):
-        n *= 2
-        cur = _winding_value(ws, rect, n)
+    prev = None
+    for doubling in range(1, _MAX_EDGE_DOUBLINGS + 1):
+        n = _EDGE_SAMPLES << doubling
+        t = np.arange(n + 1) / n
+        edges = ws.ratio(np.concatenate([a + d * t for a, d in zip(corners, deltas)]))
+        edges = edges.reshape(4, n + 1)
+        if prev is None:
+            # a contiguous copy keeps np.dot's summation that of a contour of its own
+            prev = _simpson_value(deltas, edges[:, ::2].copy())
+        cur = _simpson_value(deltas, edges)
         if abs(cur - prev) <= _STABLE_EPS:
             m = round(cur.real)
             if abs(cur - m) <= _WINDING_TOL:
@@ -225,34 +230,36 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
     )
 
 
-def _line_minimum(ws: _Workspace, ordinate: float, b: float) -> float:
-    xs = np.linspace(-b, b, _SCAN_SAMPLES)
-    vals = np.abs(evaluate_array(ws.f, xs + 1j * ordinate))
-    return float(vals.min())
-
-
 def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
     """Ordinate r' with |r' - r| <= window maximizing the worse line minimum
-    of the two lines Im z = +-r'; exact center wins ties."""
+    of the two lines Im z = +-r'; exact center wins ties.  Each of three
+    rounds of 21 offsets, nearest first, is scored by one evaluation."""
+    xs = np.linspace(-b, b, _SCAN_SAMPLES)
 
-    def score(r_val: float) -> float:
-        return min(_line_minimum(ws, r_val, b), _line_minimum(ws, -r_val, b))
+    def scores(cands: list[float]) -> np.ndarray:
+        ords = np.array(cands)
+        lines = xs + 1j * np.stack([ords, -ords], axis=-1)[..., None]
+        return np.abs(evaluate_array(ws.f, lines)).min(axis=(1, 2))
 
     best_r = r
-    best_v = score(r)
+    best_v = scores([r])[0]
     span = window
     for _ in range(3):
         anchor = best_r
-        offsets = np.linspace(-span, span, 21)
-        for off in sorted(offsets, key=lambda o: (abs(o), o)):
-            cand = float(anchor + off)
-            if abs(cand - r) > window or cand == anchor:
-                continue
-            v = score(cand)
+        offsets = sorted(np.linspace(-span, span, 21), key=lambda o: (abs(o), o))
+        cands = [float(anchor + off) for off in offsets]
+        cands = [c for c in cands if abs(c - r) <= window and c != anchor]
+        for cand, v in zip(cands, scores(cands)):
             if v > best_v:
                 best_v, best_r = v, cand
         span /= 10.0
     return float(best_r)
+
+
+def _ordinate_window(f: ExponentialSum, R: float) -> float:
+    """min(1/(4(a_n - a_1)), R/2): how far the height of a search at R may lie from R."""
+    vals = f.freq_values()
+    return min(1.0 / (4.0 * float(vals[-1] - vals[0])), 0.5 * float(R))
 
 
 def _ordinate_step(f: ExponentialSum, R: float) -> tuple[_Workspace, float, float]:
@@ -269,7 +276,7 @@ def _ordinate_step(f: ExponentialSum, R: float) -> tuple[_Workspace, float, floa
         raise ResourceLimitError(msg)
     ws = _Workspace(f)
     b = strip_bound(f)
-    return ws, b, _best_ordinate(ws, float(R), min(1.0 / (4.0 * span), 0.5 * float(R)), b)
+    return ws, b, _best_ordinate(ws, float(R), _ordinate_window(f, R), b)
 
 
 def safe_ordinate(f: ExponentialSum, R: float) -> float:

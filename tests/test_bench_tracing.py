@@ -54,3 +54,18 @@ def test_tracer_wraps_every_layer(capsys, monkeypatch):
     # the series work the benchmark counts: a kernel change must not move it
     assert counts["meanvalue.reciprocal_calls"] == 10
     assert counts["meanvalue.series_terms"] == 12
+
+
+def test_sanity_searches_hold(tmp_path, monkeypatch):
+    # the traced benchmark reports correct: false when these lines fail
+    tracing = _bench_module("tracing", monkeypatch)
+    monkeypatch.setitem(sys.modules, "workloads", _bench_module("workloads", monkeypatch))
+    bench_run = _bench_module("run", monkeypatch)
+    names = ("cli", "zerofind", "meanvalue", "laurent", "verify", "exact")
+    tracer = tracing.Tracer({k: sys.modules["expmean." + k] for k in names})
+    tracer.install()
+    try:
+        lines, errors = bench_run.sanity_searches(cli, tracer, str(ROOT), str(tmp_path))
+    finally:
+        tracer.remove()
+    assert len(lines) == 2 and errors == [], lines

@@ -437,6 +437,17 @@ def test_tiny_coefficient_reports_coefficient_scale(problem_file, capsys, mode, 
     assert "coefficient scale" in capsys.readouterr().err
 
 
+def test_float_coefficient_below_double_range_is_input_error(problem_file, capsys):
+    tail = [{"coeff": [1, 0], "freq": "1"}, {"coeff": [1, 0], "freq": "2"}]
+    path = problem_file({"f": [{"coeff": ["1e-400", 0], "freq": "0"}] + tail})
+    assert run(["density", "--input", path, "--R", "2"]) == 2
+    assert "below double range" in capsys.readouterr().err
+    # one part that stays nonzero keeps the coefficient
+    path = problem_file({"f": [{"coeff": ["1e-400", 1], "freq": "0"}] + tail})
+    assert run(["density", "--input", path, "--R", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["span"] == "2"
+
+
 def test_numerical_failure_exit_code(problem_file, capsys, monkeypatch):
     path = problem_file(TWO_TERM_DOC)
 

@@ -112,6 +112,23 @@ def test_float_mode_coefficient_beyond_double_range_is_input_error(coeff):
         exp_sum([(1, 0), (coeff, 1)])
 
 
+@pytest.mark.parametrize(
+    "coeff",
+    ["1e-400", ("1e-400", 0), (0, "-1e-400"), ("1e-400", "1e-500"), Fraction(1, 10**400),
+     GaussianRational.of("1e-400")],
+    ids=["lone", "pair-re", "pair-im", "pair-both", "fraction", "gaussian"],
+)
+def test_float_mode_coefficient_below_double_range_is_input_error(coeff):
+    # a nonzero coefficient whose double is 0 would be dropped as a zero term
+    with pytest.raises(InputError, match="below double range"):
+        exp_sum([(1, 0), (coeff, 1)])
+
+
+def test_float_mode_coefficient_keeping_a_nonzero_part_is_accepted():
+    f = exp_sum([(1, 0), (("1e-400", 2), 1), ((0, "0/5"), 2)])
+    assert [t.coeff for t in f.terms] == [1, 2j]
+
+
 def test_basis_rejects_nonpositive_values():
     with pytest.raises(InputError):
         FrequencyBasis(("0",))
@@ -168,6 +185,19 @@ def test_evaluate_array_matches_scalar():
     arr = evaluate_array(f, zs)
     for z, v in zip(zs, arr):
         assert abs(v - evaluate(f, z)) < 1e-12 * (1 + abs(v))
+
+
+def test_evaluate_array_is_bitwise_the_unbuffered_expression():
+    rng = random.Random(11)
+    for _ in range(20):
+        f = random_sum(rng, max_terms=6)
+        freqs, coeffs = f.numeric_parts()
+        # real parts reach far enough that some exponentials overflow
+        zs = np.array([complex(rng.uniform(-300, 300), rng.uniform(-50, 50)) for _ in range(64)])
+        zs = zs.reshape(4, 16) if rng.random() < 0.5 else zs
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.exp(2.0 * math.pi * np.multiply.outer(zs, freqs)) @ coeffs
+        assert np.array_equal(evaluate_array(f, zs), expected, equal_nan=True)
 
 
 def test_add_and_multiply_are_pointwise():

@@ -4,7 +4,7 @@ import cmath
 
 import pytest
 
-from expmean import verify
+from expmean import verify, zerofind
 from expmean.errors import InputError
 from expmean.laurent import mean_via_substitution
 from expmean.meanvalue import mean_value
@@ -145,6 +145,21 @@ def test_ladder_rows_match_separate_searches(f, g, ladder, top, monkeypatch):
     for row, s in zip(rep.rows, separate):
         assert (row.R, row.count) == (s.height, sum(z.multiplicity for z in s.zeros))
         assert cmath.isclose(row.weighted_sum, weighted_sum(s.zeros, g), rel_tol=1e-9)
+
+
+def test_top_rung_ordinate_is_scanned_once(monkeypatch):
+    # every lower height lies below the top rung's window, so the top
+    # rung's search alone scans its ordinate
+    scans = []
+    best = zerofind._best_ordinate
+
+    def spy(*args):
+        scans.append(args[1])
+        return best(*args)
+
+    monkeypatch.setattr(zerofind, "_best_ordinate", spy)
+    convergence_report(THREE_TERM, exp_sum([(1, 1)]), [2.4, 3.7, 5.5], tol=1.0)
+    assert scans == [2.4, 3.7, 5.5]
 
 
 def test_noise_floor_scales_with_the_row_sum():

@@ -20,7 +20,7 @@ from expmean.errors import (
     ResourceLimitError,
 )
 from expmean.laurent import laurent, laurent_images, roots_nonzero
-from expmean.sums import FrequencyBasis, coefficient_envelope, evaluate, exp_sum
+from expmean.sums import FrequencyBasis, coefficient_envelope, evaluate, evaluate_array, exp_sum
 from expmean.verify import convergence_report
 from expmean.zerofind import (
     QuadratureConfig,
@@ -330,3 +330,132 @@ def test_fewnomial_window_on_found_zeros():
             while j < len(ims) and ims[j] < ims[i] + h:
                 j += 1
             assert j - i < n
+
+
+def _reference_winding(ws, rect):
+    """The winding loop that evaluates a fresh contour at both n and 2n."""
+
+    def value(n):
+        corners = [complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
+                   complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)]
+        deltas = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
+        t = np.arange(n + 1) / n
+        samples = ws.ratio(np.concatenate([a + d * t for a, d in zip(corners, deltas)]))
+        w = np.ones(n + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        w = w / (3.0 * n)
+        total = 0j
+        for d, edge in zip(deltas, samples.reshape(4, n + 1)):
+            total += d * np.dot(w, edge)
+        return total / (2j * math.pi)
+
+    n = zerofind._EDGE_SAMPLES
+    prev = value(n)
+    for _ in range(zerofind._MAX_EDGE_DOUBLINGS):
+        n *= 2
+        cur = value(n)
+        if abs(cur - prev) <= zerofind._STABLE_EPS:
+            m = round(cur.real)
+            if abs(cur - m) <= zerofind._WINDING_TOL:
+                return int(m)
+        prev = cur
+    raise ContourTooCloseError("reference winding did not settle")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ContourTooCloseError, ContourOnZeroError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "f, rect, expected",
+    [
+        (TWO_TERM, Rect(-1, 1, -1, 1), 2),
+        (TWO_TERM, Rect(-1, 1, 0.6, 1.4), 0),
+        (DOUBLE, Rect(-0.2, 0.2, -0.3, 0.3), 2),
+        (THREE_TERM, Rect(-1, 1, -2.5, 2.5), 10),
+        # the left edge Re z = 0 runs through the zero i/2 between samples
+        (TWO_TERM, Rect(0, 1, 0.1, 0.8), ContourTooCloseError),
+        # i/2 is a sample of the first contour's coarse rule
+        (TWO_TERM, Rect(-1, 1, -0.5, 0.5), ContourOnZeroError),
+        # +-i/2 are odd samples (t = 33/64, 31/64) of the first contour only
+        (TWO_TERM, Rect(-31 / 32, 33 / 32, -0.5, 0.5), ContourOnZeroError),
+    ],
+    ids=["healthy", "count-0", "double-zero", "multi-zero", "cut-through-zero",
+         "on-coarse-sample", "on-fine-sample"],
+)
+def test_winding_matches_two_evaluation_loop(f, rect, expected):
+    ws = _Workspace(f)
+    assert _outcome(_winding, ws, rect) == _outcome(_reference_winding, ws, rect) == expected
+
+
+def test_capped_contour_ends_at_the_refinement_cap(monkeypatch):
+    ws = _Workspace(TWO_TERM)
+    sizes = []
+    ratio = ws.ratio
+
+    def spy(zs):
+        sizes.append(zs.size)
+        return ratio(zs)
+
+    monkeypatch.setattr(ws, "ratio", spy)
+    with pytest.raises(ContourTooCloseError):
+        _winding(ws, Rect(0, 1, 0.1, 0.8))
+    # one evaluation per comparison, the last at the size the tracer counts as capped
+    n_top = QuadratureConfig.edge_samples_initial * 2 ** zerofind._MAX_EDGE_DOUBLINGS
+    assert sizes == [4 * ((32 << k) + 1) for k in range(1, 12)]
+    assert sizes[-1] == 4 * (n_top + 1)
+
+
+def _reference_ordinate(ws, r, window, b):
+    """The ordinate scan that scores each candidate line by its own evaluation."""
+
+    def line_minimum(ordinate):
+        xs = np.linspace(-b, b, zerofind._SCAN_SAMPLES)
+        return float(np.abs(evaluate_array(ws.f, xs + 1j * ordinate)).min())
+
+    def score(r_val):
+        return min(line_minimum(r_val), line_minimum(-r_val))
+
+    best_r, best_v, span = r, score(r), window
+    for _ in range(3):
+        anchor = best_r
+        for off in sorted(np.linspace(-span, span, 21), key=lambda o: (abs(o), o)):
+            cand = float(anchor + off)
+            if abs(cand - r) > window or cand == anchor:
+                continue
+            v = score(cand)
+            if v > best_v:
+                best_v, best_r = v, cand
+        span /= 10.0
+    return float(best_r)
+
+
+def test_best_ordinate_matches_per_candidate_scoring(monkeypatch):
+    basis = FrequencyBasis(("1", SQRT2))
+    rng = random.Random(12)
+    cases = [(TWO_TERM, 0.5), (TWO_TERM, 10.0), (TWO_TERM, 0.25), (THREE_TERM, 3.0),
+             (DOUBLE, 2.0), (exp_sum([(1, (0, 0)), (1, (1, 0)), (1, (0, 1))], basis), 2.0)]
+    while len(cases) < 18:
+        pairs = [((rng.randint(-2, 2), rng.randint(-2, 2)), (rng.randint(0, 3), rng.randint(0, 2)))
+                 for _ in range(rng.randint(2, 6))]
+        f = exp_sum(pairs, basis)
+        if f.num_terms() >= 2:
+            cases.append((f, rng.uniform(0.2, 12.0)))
+    evaluations = []
+
+    def counted(f, zs):
+        evaluations.append(zs.size)
+        return evaluate_array(f, zs)
+
+    monkeypatch.setattr(zerofind, "evaluate_array", counted)
+    for f, R in cases:
+        ws = _Workspace(f)
+        window, b = zerofind._ordinate_window(f, R), strip_bound(f)
+        evaluations.clear()
+        got = zerofind._best_ordinate(ws, R, window, b)
+        # the initial line pair, then one evaluation per round over all its lines
+        assert len(evaluations) == 4 and evaluations[0] == 2 * zerofind._SCAN_SAMPLES
+        assert got == _reference_ordinate(ws, R, window, b), (f, R)
