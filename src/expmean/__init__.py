@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     ResourceLimitError,
 )
-from .exact import ExactCoeff, GaussianRational, as_fraction
+from .exact import GaussianRational, as_fraction
 from .laurent import (
     LaurentPolynomial,
     laurent,
@@ -82,7 +82,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "ResourceLimitError",
-    "ExactCoeff",
     "GaussianRational",
     "as_fraction",
     "LaurentPolynomial",

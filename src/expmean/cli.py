@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import ExpmeanError, InputError, NumericalError
-from .exact import ExactCoeff, GaussianRational, as_fraction
+from .exact import GaussianRational, as_fraction
 from .laurent import laurent_images, residue_formula_sum, sum_over_roots
 from .meanvalue import mean_value, mean_zero_count
 from .sums import ExponentialSum, Frequency, FrequencyBasis, exp_sum, one_sum
@@ -134,8 +134,7 @@ def parse_problem(data: Any) -> Problem:
 
 def _coeff_to_json(coeff: Any, exact: bool) -> list:
     if exact:
-        assert isinstance(coeff, ExactCoeff)
-        return [str(coeff.scalar.re), str(coeff.scalar.im)]
+        return [str(coeff.re), str(coeff.im)]
     return [coeff.real, coeff.imag]
 
 

@@ -22,6 +22,13 @@ horizontal window, is
 
 With g = 1 this collapses to the highest frequency minus the lowest, the
 mean density of zeros themselves.
+
+Exact mode never forms f', whose factor 2*pi*a is not a Gaussian rational.
+Writing each frequency as a = sum_j q_j * basis[j] gives
+f' = 2*pi * sum_j basis[j] * D_j f, where D_j f scales each term of f by
+its rational coordinate q_j.  So A = 2*pi * sum_j A_j * basis[j], where
+A_j is the constant term of the product above with D_j f in place of f',
+and the mean has the Gaussian-rational coordinates A_last_j - A_first_j.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InputError, NumericalError, ResourceLimitError
-from .exact import GR_ZERO, ExactCoeff, GaussianRational
+from .exact import GR_ONE, GR_ZERO, GaussianRational
 from .sums import (
     End,
     ExpTerm,
@@ -47,6 +54,7 @@ from .sums import (
     divide_by_extreme_term,
     extreme_term,
     multiply,
+    normalize,
 )
 
 CutoffLike = Union[int, float, str, Fraction]
@@ -84,10 +92,11 @@ class MeanValueResult:
     mean: Optional[complex]
     neg_generators: list[Frequency]
     pos_generators: list[Frequency]
-    # exact-mode extras; None when the inputs carry float coefficients
-    A_first_exact: Optional[ExactCoeff] = None
-    A_last_exact: Optional[ExactCoeff] = None
-    # mean as exact coordinates over the frequency basis:
+    # exact-mode extras, as coordinates over the frequency basis; None when
+    # the inputs carry float coefficients.
+    # A = 2*pi * sum_j A_exact[j] * basis[j] at each end
+    A_first_exact: Optional[tuple[GaussianRational, ...]] = None
+    A_last_exact: Optional[tuple[GaussianRational, ...]] = None
     # mean = sum_j mean_exact[j] * basis[j]
     mean_exact: Optional[tuple[GaussianRational, ...]] = None
 
@@ -117,27 +126,20 @@ def truncated_reciprocal(
     of 1/den[i], the common denominator of the betas' i-th coordinates, and
     distance in units of 1/scale, the common denominator of the basis
     values over den, so points are int tuples and distances ints.  The
-    recurrence runs on plain complex or Gaussian-rational scalars; an exact
-    coefficient with a 2*pi part is an input error.  The terms come out in
-    order of distance, so two nonzero ones at one distance mean the basis
-    is not Q-linearly independent.  Queuing more than _MAX_SERIES_TERMS
-    points raises ResourceLimitError; float mode raises NumericalError once
-    a coefficient overflows.
+    recurrence runs on plain complex or Gaussian-rational scalars.  The
+    terms come out in order of distance, so two nonzero ones at one
+    distance mean the basis is not Q-linearly independent.  Queuing more
+    than _MAX_SERIES_TERMS points raises ResourceLimitError; float mode
+    raises NumericalError once a coefficient overflows.
     """
     cut = _as_cutoff(cutoff)
     basis = ftilde.basis
     n = len(basis)
     zero_freq = Frequency((Fraction(0),) * n)
-    c0 = ftilde.coefficient_at(zero_freq)
-    is_one = c0.is_one() if ftilde.exact else c0 == 1
-    if not is_one:
+    one = ftilde.coefficient_at(zero_freq)
+    if one != (GR_ONE if ftilde.exact else 1):
         raise InputError("reciprocal expansion requires a constant term equal to one")
-    if ftilde.exact:
-        if any(t.coeff.has_twopi() for t in ftilde.terms):
-            raise InputError("reciprocal expansion requires coefficients without a 2*pi part")
-        zero, one = GR_ZERO, c0.scalar
-    else:
-        zero, one = 0j, c0
+    zero = GR_ZERO if ftilde.exact else 0j
     sign = 1 if end is End.FIRST else -1
     den = [math.lcm(*(t.freq.coords[i].denominator for t in ftilde.terms)) for i in range(n)]
     units = [b / d for b, d in zip(basis.fraction_values, den)]
@@ -151,7 +153,7 @@ def truncated_reciprocal(
         if dist < 0:
             raise InputError(f"{end.value}-end expansion given a frequency past its end")
         if 0 < dist <= int_cut:
-            steps.append((beta, dist, -(t.coeff.scalar if ftilde.exact else t.coeff)))
+            steps.append((beta, dist, -t.coeff))
 
     coeffs: dict[tuple[int, ...], Union[complex, GaussianRational]] = {}
     kept = []  # (alpha, r_alpha) for r_alpha != 0, in order of distance
@@ -192,57 +194,64 @@ def truncated_reciprocal(
     if end is End.LAST:
         kept.reverse()
     terms = tuple(
-        ExpTerm(
-            ExactCoeff.plain(r, n) if ftilde.exact else r,
-            Frequency(tuple(Fraction(a, d) for a, d in zip(alpha, den))),
-        )
+        ExpTerm(r, Frequency(tuple(Fraction(a, d) for a, d in zip(alpha, den))))
         for alpha, r in kept
     )
     return TruncatedSeries(ExponentialSum(terms, basis, ftilde.exact))
 
 
-def _edge_quotient(f: ExponentialSum, g: ExponentialSum, end: End) -> ExponentialSum:
-    """P = g * f' / (extreme term of f)."""
+def _edge_quotients(f: ExponentialSum, g: ExponentialSum, end: End) -> list[ExponentialSum]:
+    """[g * f' / (extreme term of f)] in float mode; in exact mode
+    g * D_j f / (extreme term of f) for each basis coordinate j."""
     ext = extreme_term(f, end)
-    if f.exact:
-        inv = ExactCoeff.one(len(f.basis)).divide_by_plain(ext.coeff)
-    else:
-        inv = 1.0 / ext.coeff
+    inv = (GR_ONE if f.exact else 1.0) / ext.coeff
     inv_sum = ExponentialSum((ExpTerm(inv, -ext.freq),), f.basis, f.exact)
-    return multiply(multiply(g, derivative(f)), inv_sum)
+    if not f.exact:
+        return [multiply(multiply(g, derivative(f)), inv_sum)]
+    # terms of value 0 vanish from f', as in derivative
+    moving = [t for t in f.terms if f.basis.value_key(t.freq) != 0]
+    quotients = []
+    for j in range(len(f.basis)):
+        d_j = [ExpTerm(t.coeff * GaussianRational(t.freq.coords[j], Fraction(0)), t.freq)
+               for t in moving]
+        quotients.append(multiply(multiply(g, normalize(d_j, f.basis, exact=True)), inv_sum))
+    return quotients
 
 
 def _a_value(f: ExponentialSum, g: ExponentialSum, end: End):
-    """Constant term A at the chosen end, in the inputs' coefficient mode."""
+    """Constant term A at the chosen end: a complex in float mode, the
+    coordinates (A_j) with A = 2*pi * sum_j A_j * basis[j] in exact mode."""
     if f.is_zero():
         raise InputError("mean-value computation requires a non-zero denominator sum")
-    basis = f.basis
-    zero_c = ExactCoeff.zero(len(basis)) if f.exact else 0j
-    p = _edge_quotient(f, g, end)
-    if p.is_zero():
-        return zero_c
-    values = [basis.value_key(t.freq) for t in p.terms]
-    if end is End.FIRST:
-        cut = max(Fraction(0), -min(values))
-    else:
-        cut = max(Fraction(0), max(values))
-    ftilde = divide_by_extreme_term(f, end)
-    series = truncated_reciprocal(ftilde, end, cut)
-    series_at = {t.freq.coords: t.coeff for t in series.sum.terms}
-    acc = zero_c
-    for t in p.terms:
-        mate = series_at.get((-t.freq).coords)
-        if mate is not None:
-            acc = acc + t.coeff * mate
+    quotients = _edge_quotients(f, g, end)
+    zero = GR_ZERO if f.exact else 0j
+    values = [f.basis.value_key(t.freq) for p in quotients for t in p.terms]
+    coords = [zero] * len(quotients)
+    if values:
+        cut = max(Fraction(0), -min(values) if end is End.FIRST else max(values))
+        series = truncated_reciprocal(divide_by_extreme_term(f, end), end, cut)
+        series_at = {t.freq.coords: t.coeff for t in series.sum.terms}
+        for j, p in enumerate(quotients):
+            for t in p.terms:
+                mate = series_at.get((-t.freq).coords)
+                if mate is not None:
+                    coords[j] = coords[j] + t.coeff * mate
+    return tuple(coords) if f.exact else coords[0]
+
+
+def _to_complex_A(coords: tuple[GaussianRational, ...], basis: FrequencyBasis) -> complex:
+    """2*pi * sum_j coords[j] * basis[j] as a double."""
+    acc = 0j
+    for v, b in zip(coords, basis.float_values):
+        if not v.is_zero():
+            acc += 2.0 * math.pi * b * v.to_complex()
     return acc
 
 
 def constant_term_A(f: ExponentialSum, g: ExponentialSum, end: End) -> complex:
     """A at the lowest (FIRST) or highest (LAST) frequency end of f."""
     a = _a_value(f, g, end)
-    if isinstance(a, ExactCoeff):
-        return a.to_complex(f.basis.float_values)
-    return a
+    return _to_complex_A(a, f.basis) if f.exact else a
 
 
 def support_semigroup_generators(
@@ -345,19 +354,14 @@ def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:
     a_last = _a_value(f, g, End.LAST)
     neg, pos = support_semigroup_generators(f)
     exact_extras = {}
-    if isinstance(a_first, ExactCoeff):
-        diff = a_last - a_first
-        # every contribution carries exactly one derivative factor, so the
-        # plain-scalar component of A is identically zero
-        if not diff.scalar.is_zero() or not a_first.scalar.is_zero():
-            raise InputError("constant term carries a non-derivative component")
-        exact_extras = dict(A_first_exact=a_first, A_last_exact=a_last, mean_exact=diff.twopi)
-        bf = f.basis.float_values
+    if f.exact:
+        diff = tuple(last - first for first, last in zip(a_first, a_last))
+        exact_extras = dict(A_first_exact=a_first, A_last_exact=a_last, mean_exact=diff)
         try:
             mean = complex(sum(
-                (v.to_complex() * b for v, b in zip(diff.twopi, bf)), 0j
+                (v.to_complex() * b for v, b in zip(diff, f.basis.float_values)), 0j
             ))
-            a_first, a_last = a_first.to_complex(bf), a_last.to_complex(bf)
+            a_first, a_last = _to_complex_A(a_first, f.basis), _to_complex_A(a_last, f.basis)
         except OverflowError:
             a_first = a_last = mean = cmath.inf  # does not fit a double, as below
     else:

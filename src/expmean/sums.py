@@ -9,7 +9,8 @@ Q-linear independence is asserted by the caller, not verified.
 
 Coefficients come in two modes, carried by the sum and required to match
 across operands: ``complex`` floats for numeric pipelines, or
-:class:`expmean.exact.ExactCoeff` for exact symbolic identities.
+:class:`expmean.exact.GaussianRational` for exact symbolic identities.
+Differentiation is float-only, since 2*pi*a is not a Gaussian rational.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .exact import ExactCoeff, GaussianRational, GR_ZERO, as_fraction
+from .exact import GR_ONE, GR_ZERO, GaussianRational, as_fraction
 
 TWO_PI = 2.0 * math.pi
 
-Coeff = Union[complex, ExactCoeff]
+Coeff = Union[complex, GaussianRational]
 
 
 class End(enum.Enum):
@@ -116,8 +117,10 @@ class Frequency:
             coords = [Fraction(0)] * basis_len
             coords[0] = as_fraction(raw)
             return Frequency(tuple(coords))
-        coords = tuple(as_fraction(c) for c in raw)
-        return Frequency(coords)
+        try:
+            return Frequency(tuple(as_fraction(c) for c in raw))
+        except TypeError:  # neither a rational-like scalar nor a sequence
+            raise InputError(f"not an exact frequency: {raw!r}") from None
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -144,25 +147,19 @@ class ExpTerm:
 
 
 def _coeff_is_exact(c) -> bool:
-    return isinstance(c, ExactCoeff)
+    return isinstance(c, GaussianRational)
 
 
-def _coerce_coeff(c, exact: bool, basis_len: int) -> Coeff:
+def _coerce_coeff(c, exact: bool) -> Coeff:
     """Normalize assorted coefficient inputs into the active mode's type."""
     if exact:
-        if isinstance(c, ExactCoeff):
-            if len(c.twopi) != basis_len:
-                raise InputError("exact coefficient 2*pi vector length does not match basis")
-            return c
         if isinstance(c, GaussianRational):
-            return ExactCoeff.plain(c, basis_len)
+            return c
         if isinstance(c, (int, str, Fraction)):
-            return ExactCoeff.plain(GaussianRational.of(c), basis_len)
+            return GaussianRational.of(c)
         if isinstance(c, tuple) and len(c) == 2:
-            return ExactCoeff.plain(GaussianRational.of(c[0], c[1]), basis_len)
+            return GaussianRational.of(c[0], c[1])
         raise InputError(f"not an exact coefficient: {c!r}")
-    if isinstance(c, ExactCoeff):
-        raise InputError("exact coefficient passed to a float-mode sum")
     try:
         if isinstance(c, GaussianRational):
             z = c.to_complex()
@@ -219,14 +216,13 @@ class ExponentialSum:
         for t in self.terms:
             if t.freq == freq:
                 return t.coeff
-        return ExactCoeff.zero(len(self.basis)) if self.exact else 0j
+        return GR_ZERO if self.exact else 0j
 
     @cached_property
     def _numeric(self) -> tuple[np.ndarray, np.ndarray]:
         freqs = np.array([float(v) for v in self.freq_values()], dtype=np.float64)
         if self.exact:
-            bf = self.basis.float_values
-            coeffs = np.array([t.coeff.to_complex(bf) for t in self.terms], dtype=np.complex128)
+            coeffs = np.array([t.coeff.to_complex() for t in self.terms], dtype=np.complex128)
         else:
             coeffs = np.array([t.coeff for t in self.terms], dtype=np.complex128)
         return freqs, coeffs
@@ -239,8 +235,7 @@ class ExponentialSum:
         """Same sum with complex-float coefficients."""
         if not self.exact:
             return self
-        bf = self.basis.float_values
-        raw = [ExpTerm(t.coeff.to_complex(bf), t.freq) for t in self.terms]
+        raw = [ExpTerm(t.coeff.to_complex(), t.freq) for t in self.terms]
         return normalize(raw, self.basis, exact=False)
 
     def __add__(self, other: "ExponentialSum") -> "ExponentialSum":
@@ -313,11 +308,7 @@ def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> 
     mode.
     """
     basis = basis or DEFAULT_BASIS
-    n = len(basis)
-    raw = [
-        ExpTerm(_coerce_coeff(c, exact, n), Frequency.of(f, n))
-        for c, f in pairs
-    ]
+    raw = [ExpTerm(_coerce_coeff(c, exact), Frequency.of(f, len(basis))) for c, f in pairs]
     return normalize(raw, basis, exact)
 
 
@@ -373,21 +364,18 @@ def negate(f: ExponentialSum) -> ExponentialSum:
 
 
 def derivative(f: ExponentialSum) -> ExponentialSum:
-    """Term-wise (c, a) -> (2*pi*a*c, a); zero-frequency terms vanish."""
+    """Term-wise (c, a) -> (2*pi*a*c, a); zero-frequency terms vanish.
+
+    Float mode only: 2*pi*a is not a Gaussian rational.
+    """
+    if f.exact:
+        raise InputError("an exact sum has no exact derivative; convert it with to_float_mode")
     out = []
     for t in f.terms:
         key = f.basis.value_key(t.freq)
-        if key == 0:
-            continue
-        if f.exact:
-            factor = ExactCoeff(
-                GR_ZERO,
-                tuple(GaussianRational(q, Fraction(0)) for q in t.freq.coords),
-            )
-            out.append(ExpTerm(t.coeff * factor, t.freq))
-        else:
+        if key != 0:
             out.append(ExpTerm(t.coeff * (TWO_PI * float(key)), t.freq))
-    return normalize(out, f.basis, exact=f.exact)
+    return normalize(out, f.basis, exact=False)
 
 
 def multiply(a: ExponentialSum, b: ExponentialSum) -> ExponentialSum:
@@ -414,17 +402,10 @@ def divide_by_extreme_term(f: ExponentialSum, end: End) -> ExponentialSum:
     frequencies are >= 0, for LAST all are <= 0.
     """
     ext = extreme_term(f, end)
-    one = ExactCoeff.one(len(f.basis)) if f.exact else complex(1.0)
-    out = []
-    for t in f.terms:
-        nf = t.freq - ext.freq
-        if t is ext:
-            c = one
-        elif f.exact:
-            c = t.coeff.divide_by_plain(ext.coeff)
-        else:
-            c = t.coeff / ext.coeff
-        out.append(ExpTerm(c, nf))
+    one = GR_ONE if f.exact else complex(1.0)
+    out = [
+        ExpTerm(one if t is ext else t.coeff / ext.coeff, t.freq - ext.freq) for t in f.terms
+    ]
     return normalize(out, f.basis, exact=f.exact)
 
 

@@ -152,6 +152,8 @@ def strip_bound(f: ExponentialSum) -> float:
         lo = 0.0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # neighbouring doubles: past 8192 they lie > 1e-12 apart
+                break
             if tail(mid) <= _STRIP_MARGIN:
                 hi = mid
             else:

@@ -2,14 +2,15 @@
 
 import expmean
 
-# wrappers that repeated another public path, and the search's retired
-# settings class, all gone from the public surface
+# wrappers that repeated another public path, the search's retired settings
+# class and the retired exact coefficient ring, all gone from the public surface
 RETIRED = (
     "winding_count",
     "default_window",
     "empirical_mean",
     "constant_term_A_exact",
     "QuadratureConfig",
+    "ExactCoeff",
 )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from expmean.errors import InputError
-from expmean.exact import ExactCoeff, GaussianRational
+from expmean.exact import GR_ONE, GaussianRational
 from expmean.sums import (
     DEFAULT_BASIS,
     End,
@@ -73,7 +73,7 @@ def test_normalize_idempotent_random():
 
 def test_normalize_rejects_mixed_modes():
     t1 = ExpTerm(1 + 0j, Frequency.of(0))
-    t2 = ExpTerm(ExactCoeff.one(1), Frequency.of(1))
+    t2 = ExpTerm(GR_ONE, Frequency.of(1))
     for exact in (False, True):
         with pytest.raises(InputError):
             normalize([t1, t2], DEFAULT_BASIS, exact)
@@ -98,6 +98,16 @@ def test_float_mode_coefficient_pairs_parse_rationals():
                 exp_sum([((bad, 0), 1)], exact=exact)
             with pytest.raises(InputError):
                 exp_sum([(bad, 1)], exact=exact)
+
+
+@pytest.mark.parametrize("freq", [0.5, None, 1j], ids=["float", "none", "complex"])
+def test_frequency_of_rejects_non_rational_scalars(freq):
+    # neither a rational-like scalar nor a coordinate sequence
+    with pytest.raises(InputError, match="not an exact frequency"):
+        Frequency.of(freq)
+    for exact in (False, True):
+        with pytest.raises(InputError):
+            exp_sum([(1, freq)], exact=exact)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +229,7 @@ def test_multiply_cancellation_exact():
     p = multiply(a, b)
     # (1 - e)(1 + e) = 1 - e^2: the cross terms cancel exactly
     assert p.freq_values() == [Fraction(0), Fraction(2)]
-    assert p.coefficient_at(Frequency.of(0)).is_one()
+    assert p.coefficient_at(Frequency.of(0)) == GR_ONE
 
 
 def test_multiply_rejects_basis_mismatch():
@@ -257,22 +267,23 @@ def test_derivative_kills_constant_term():
     assert abs(df.terms[0].coeff - 2 * 2 * math.pi) < 1e-15
 
 
-def test_derivative_exact_leibniz():
+def test_derivative_leibniz():
     rng = random.Random(5)
     for _ in range(50):
-        f = random_sum(rng, max_terms=3, exact=True)
-        g = random_sum(rng, max_terms=3, exact=True)
+        f = random_sum(rng, max_terms=3)
+        g = random_sum(rng, max_terms=3)
         lhs = derivative(multiply(f, g))
         rhs = add(multiply(derivative(f), g), multiply(f, derivative(g)))
-        assert lhs == rhs
+        # the frequency-0 terms of rhs cancel only to rounding
+        for freq in set(lhs.frequencies()) | set(rhs.frequencies()):
+            a, b = lhs.coefficient_at(freq), rhs.coefficient_at(freq)
+            assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
 
-def test_derivative_exact_scale_is_symbolic():
-    f = exp_sum([(3, "1/2")], exact=True)
-    df = derivative(f)
-    c = df.terms[0].coeff
-    assert c.scalar.is_zero()
-    assert c.twopi[0] == GaussianRational.of("3/2")
+def test_derivative_rejects_exact_sum():
+    # 2*pi*a is not a Gaussian rational, so an exact sum has no exact derivative
+    with pytest.raises(InputError, match="no exact derivative"):
+        derivative(exp_sum([(3, "1/2")], exact=True))
 
 
 def test_second_derivative_requires_float_mode():
@@ -296,10 +307,8 @@ def test_divide_by_extreme_term_last():
     f = exp_sum([(2, -1), (3, 0), (4, 2)], exact=True)
     u = divide_by_extreme_term(f, End.LAST)
     assert u.freq_values() == [Fraction(-3), Fraction(-2), Fraction(0)]
-    assert u.coefficient_at(Frequency.of(0)).is_one()
-    assert u.coefficient_at(Frequency.of(-3)) == ExactCoeff.plain(
-        GaussianRational.of("1/2"), 1
-    )
+    assert u.coefficient_at(Frequency.of(0)) == GR_ONE
+    assert u.coefficient_at(Frequency.of(-3)) == GaussianRational.of("1/2")
 
 
 def test_extreme_term_of_zero_sum_raises():

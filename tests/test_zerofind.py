@@ -5,6 +5,8 @@ import dataclasses
 import inspect
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +83,22 @@ def test_strip_bound_three_term_irrational():
     b = strip_bound(f)
     first, last = tail_sums(f, b)
     assert max(first, last) <= 0.5 + 1e-9
+
+
+def test_strip_bound_ends_past_8192():
+    # past 8192 neighbouring doubles lie more than the bisection's 1e-12
+    # apart; the child process turns a hang into a failure
+    code = (
+        "from expmean.sums import exp_sum; from expmean.zerofind import strip_bound; "
+        "print(strip_bound(exp_sum([(1, 0), (1, '1/100000')])), "
+        "strip_bound(exp_sum([(1, 0), (10**10, '1/10000')])))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    b1, b2 = map(float, proc.stdout.split())
+    assert abs(b1 - math.log(2) / (2 * math.pi * 1e-5)) < 1e-9 * b1
+    assert abs(b2 - math.log(2e10) / (2 * math.pi * 1e-4)) < 1e-9 * b2
+    assert 8192 < b1 < b2
 
 
 def test_strip_bound_input_checks():
