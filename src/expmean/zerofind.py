@@ -57,6 +57,8 @@ _STABLE_EPS = 0.05
 _NEWTON_TOL = 1e-12
 _MAX_DEPTH = 60
 _SCAN_SAMPLES = 241
+# a candidate ordinate must beat the best score by this relative margin
+_TIE_REL = 1e-9
 _RESIDUAL_TOL = 1e-9
 _MAX_ZEROS = 10_000
 # tail margin of strip_bound: any value below 1 keeps every zero in the strip
@@ -234,8 +236,11 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
 
 def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
     """Ordinate r' with |r' - r| <= window maximizing the worse line minimum
-    of the two lines Im z = +-r'; exact center wins ties.  Each of three
-    rounds of 21 offsets, nearest first, is scored by one evaluation."""
+    of the two lines Im z = +-r'.  Each of three rounds of 21 offsets,
+    nearest first, is scored by one evaluation.  The sampled minimum is an
+    estimate, so a candidate must beat the best by a relative _TIE_REL and
+    near-ties go to the nearer line: for a periodic f, r' and period - r'
+    give one pair of lines and differ only by rounding."""
     xs = np.linspace(-b, b, _SCAN_SAMPLES)
 
     def scores(cands: list[float]) -> np.ndarray:
@@ -252,7 +257,7 @@ def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
         cands = [float(anchor + off) for off in offsets]
         cands = [c for c in cands if abs(c - r) <= window and c != anchor]
         for cand, v in zip(cands, scores(cands)):
-            if v > best_v:
+            if v > best_v * (1.0 + _TIE_REL):
                 best_v, best_r = v, cand
         span /= 10.0
     return float(best_r)

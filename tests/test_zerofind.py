@@ -188,6 +188,21 @@ def test_safe_ordinate_prefers_strictly_better_line():
     assert safe_ordinate(TWO_TERM, 0.25) == 0.125
 
 
+def test_safe_ordinate_keeps_periodic_ties_at_the_nearer_line():
+    # f = P(e^{pi z}) with P's roots i, i, -2 has period 2 in Im z, with a
+    # double zero at Im z = 1/2 and a simple one at Im z = 1, modulo 2.  From
+    # R = 16/15 the candidate 2 - R gives the same pair of lines, so the two
+    # score alike up to rounding; rounding must not carry the height below
+    # Im z = 1 and lose the two zeros there.
+    coeffs = np.poly([1j, 1j, -2])[::-1]
+    R = 1.6 * 2 / 3
+    for k in range(6):
+        scale = cmath.rect(0.5 + 0.3 * k, 1.1 * k)
+        f = exp_sum([(complex(scale * c), Fraction(j, 2)) for j, c in enumerate(coeffs)])
+        assert 1.0 < safe_ordinate(f, R) <= R + zerofind._ordinate_window(f, R)
+    assert sum(z.multiplicity for z in find_zeros(f, R)) == 4
+
+
 def test_zero_budget_is_checked_before_any_evaluation(monkeypatch):
     def fail(*args):
         raise AssertionError("evaluated before the zero budget check")
@@ -445,7 +460,7 @@ def _reference_ordinate(ws, r, window, b):
             if abs(cand - r) > window or cand == anchor:
                 continue
             v = score(cand)
-            if v > best_v:
+            if v > best_v * (1.0 + zerofind._TIE_REL):
                 best_v, best_r = v, cand
         span /= 10.0
     return float(best_r)
