@@ -24,6 +24,7 @@ sizes and tolerances are the constants below.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -57,7 +58,6 @@ _STABLE_EPS = 0.05
 _NEWTON_TOL = 1e-12
 _MAX_DEPTH = 60
 _SCAN_SAMPLES = 241
-# a candidate ordinate must beat the best score by this relative margin
 _TIE_REL = 1e-9
 _RESIDUAL_TOL = 1e-9
 _MAX_ZEROS = 10_000
@@ -172,11 +172,10 @@ class _Workspace:
         self.f = f.to_float_mode()
         self.df = derivative(self.f)
 
-    def ratio(self, zs: np.ndarray) -> np.ndarray:
-        """f'/f at an array of points; raises if the contour hits a zero."""
+    def ratio(self, zs: np.ndarray, env: np.ndarray) -> np.ndarray:
+        """f'/f at an array of points with envelope env; raises if the contour hits a zero."""
         fv = evaluate_array(self.f, zs)
         dv = evaluate_array(self.df, zs)
-        env = coefficient_envelope(self.f, zs.real)
         bad = ~np.isfinite(fv) | ~np.isfinite(dv) | (np.abs(fv) <= _CLEARANCE_REL * env)
         if np.any(bad):
             raise ContourOnZeroError("quadrature sample sits on or next to a zero")
@@ -188,18 +187,15 @@ class _Workspace:
         return abs(fz) <= tol * float(coefficient_envelope(self.f, np.array([z.real]))[0])
 
 
-def _simpson_value(deltas: list[complex], edges: np.ndarray) -> complex:
+@functools.cache
+def _simpson_weights(n: int) -> np.ndarray:
+    return np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0] / (3.0 * n)  # 1, 4, 2, ..., 4, 1
+
+
+def _simpson_value(deltas: np.ndarray, edges: np.ndarray) -> complex:
     """Composite-Simpson value of (1/2*pi*i) * boundary integral of f'/f,
     from f'/f at n + 1 evenly spaced points on each edge, one row per edge."""
-    n = edges.shape[1] - 1
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w /= 3.0 * n
-    total = 0j
-    for d, edge in zip(deltas, edges):
-        total += d * np.dot(w, edge)
-    return total / (2j * math.pi)
+    return complex(deltas @ (edges @ _simpson_weights(edges.shape[1] - 1))) / (2j * math.pi)
 
 
 def _winding(ws: _Workspace, rect: Rect) -> int:
@@ -213,15 +209,19 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
         complex(rect.re_max, rect.im_max),
         complex(rect.re_min, rect.im_max),
     ]
-    deltas = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
+    deltas = np.array([b - a for a, b in zip(corners, corners[1:] + corners[:1])])
     prev = None
     for doubling in range(1, _MAX_EDGE_DOUBLINGS + 1):
         n = _EDGE_SAMPLES << doubling
         t = np.arange(n + 1) / n
-        edges = ws.ratio(np.concatenate([a + d * t for a, d in zip(corners, deltas)]))
-        edges = edges.reshape(4, n + 1)
+        zs = np.concatenate([a + d * t for a, d in zip(corners, deltas)])
+        # the envelope depends on Re z alone: one value for each vertical edge
+        x = zs.real.reshape(2, 2, n + 1)  # (bottom, right), (top, left)
+        env = coefficient_envelope(ws.f, np.concatenate([x[:, 0], x[:, 1, :1]], axis=1))
+        env = np.concatenate([env[:, :-1], np.repeat(env[:, -1:], n + 1, axis=1)], axis=1)
+        edges = ws.ratio(zs, env.ravel()).reshape(4, n + 1)
         if prev is None:
-            # a contiguous copy keeps np.dot's summation that of a contour of its own
+            # a contiguous copy keeps the product's summation that of a contour of its own
             prev = _simpson_value(deltas, edges[:, ::2].copy())
         cur = _simpson_value(deltas, edges)
         if abs(cur - prev) <= _STABLE_EPS:
@@ -237,10 +237,9 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
 def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
     """Ordinate r' with |r' - r| <= window maximizing the worse line minimum
     of the two lines Im z = +-r'.  Each of three rounds of 21 offsets,
-    nearest first, is scored by one evaluation.  The sampled minimum is an
-    estimate, so a candidate must beat the best by a relative _TIE_REL and
-    near-ties go to the nearer line: for a periodic f, r' and period - r'
-    give one pair of lines and differ only by rounding."""
+    nearest first, is scored by one evaluation.  A candidate must win by a
+    relative _TIE_REL, so ties (r' and period - r' for a periodic f) go to
+    the nearer line whatever the rounding."""
     xs = np.linspace(-b, b, _SCAN_SAMPLES)
 
     def scores(cands: list[float]) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from expmean.sums import (
     Frequency,
     FrequencyBasis,
     add,
+    coefficient_envelope,
     derivative,
     divide_by_extreme_term,
     evaluate,
@@ -29,6 +31,7 @@ from expmean.sums import (
 )
 
 SQRT2 = "1.41421356237309504880168872421"
+SQRT3 = "1.73205080756887729352744634151"
 
 
 def random_sum(rng, basis=None, max_terms=4, exact=False):
@@ -197,17 +200,66 @@ def test_evaluate_array_matches_scalar():
         assert abs(v - evaluate(f, z)) < 1e-12 * (1 + abs(v))
 
 
-def test_evaluate_array_is_bitwise_the_unbuffered_expression():
+def _kernel_cases():
+    """Sums for each path of the float kernel, with whether they use the lattice."""
     rng = random.Random(11)
-    for _ in range(20):
-        f = random_sum(rng, max_terms=6)
+    basis = FrequencyBasis(("1", SQRT2, SQRT3))
+
+    def coeff():
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    cases = []
+    for _ in range(6):
+        # negative frequencies: one generator per nonzero frequency
+        cases.append((random_sum(rng, max_terms=6), False))
+        # a Laurent image P(e^{2 pi z/q}): one generator
+        q = rng.randint(1, 4)
+        cases.append((exp_sum([(coeff(), Fraction(k, q)) for k in range(rng.randint(2, 7))]), True))
+        # nonnegative coordinates over {1, sqrt2, sqrt3}: at most three generators
+        pairs = [(coeff(), (k // 9, k // 3 % 3, k % 3)) for k in rng.sample(range(27), 5)]
+        cases.append((exp_sum(pairs, basis), None))
+    # a power of 65 exceeds the cap, and so does an lcm past 2**63: one
+    # generator per nonzero frequency
+    cases.append((exp_sum([(1, 0), (2j, "1/65"), (-1, 1)]), False))
+    cases.append((exp_sum([(1, 0), (2j, "1/3"), (-1, "1/9999999967"), (1, "1/9999999943")]), False))
+    return cases
+
+
+def _mp_sum(coeffs, values, z):
+    with mpmath.workdps(30):
+        two_pi_z = 2 * mpmath.pi * mpmath.mpc(z)
+        return mpmath.fsum(mpmath.mpmathify(c) * mpmath.exp(two_pi_z * mpmath.mpf(a.numerator) / a.denominator)
+                           for c, a in zip(coeffs, values))
+
+
+def test_evaluate_array_and_envelope_match_mpmath():
+    rng = random.Random(5)
+    eps = np.finfo(float).eps
+    paths = set()
+    for f, lattice in _kernel_cases():
         freqs, coeffs = f.numeric_parts()
+        uses_lattice = len(f._generators[0]) < np.count_nonzero(freqs)
+        assert lattice in (None, uses_lattice)
+        paths.add(uses_lattice)
         # real parts reach far enough that some exponentials overflow
-        zs = np.array([complex(rng.uniform(-300, 300), rng.uniform(-50, 50)) for _ in range(64)])
+        zs = np.array([complex(rng.uniform(-300, 300), rng.uniform(-50, 50)) for _ in range(48)]
+                      + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)])
         zs = zs.reshape(4, 16) if rng.random() < 0.5 else zs
+        got, env = evaluate_array(f, zs), coefficient_envelope(f, zs.real)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = np.exp(2.0 * math.pi * np.multiply.outer(zs, freqs)) @ coeffs
-        assert np.array_equal(evaluate_array(f, zs), expected, equal_nan=True)
+            direct = np.exp(2.0 * math.pi * np.multiply.outer(zs, freqs)) @ coeffs
+            direct_env = np.exp(2.0 * math.pi * np.multiply.outer(zs.real, freqs)) @ np.abs(coeffs)
+        assert np.array_equal(np.isfinite(got), np.isfinite(direct))
+        assert np.array_equal(np.isfinite(env), np.isfinite(direct_env))
+        arg = 2.0 * math.pi * np.abs(np.multiply.outer(zs, freqs)).max(axis=-1)
+        # below the normal range every evaluation loses relative precision
+        bound = 8 * eps * (1 + arg) * env + 1e-300
+        values = f.freq_values()
+        for z, v, e, b in zip(zs.ravel(), got.ravel(), env.ravel(), bound.ravel()):
+            if np.isfinite(b):
+                assert abs(v - complex(_mp_sum(coeffs, values, z))) <= b, (f, z)
+                assert abs(e - float(_mp_sum(np.abs(coeffs), values, z.real).real)) <= b, (f, z)
+    assert paths == {False, True}
 
 
 def test_add_and_multiply_are_pointwise():

@@ -373,7 +373,8 @@ def _reference_winding(ws, rect):
                    complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)]
         deltas = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
         t = np.arange(n + 1) / n
-        samples = ws.ratio(np.concatenate([a + d * t for a, d in zip(corners, deltas)]))
+        zs = np.concatenate([a + d * t for a, d in zip(corners, deltas)])
+        samples = ws.ratio(zs, coefficient_envelope(ws.f, zs.real))
         w = np.ones(n + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w = w / (3.0 * n)
@@ -429,9 +430,9 @@ def test_capped_contour_ends_at_the_refinement_cap(monkeypatch):
     sizes = []
     ratio = ws.ratio
 
-    def spy(zs):
+    def spy(zs, env):
         sizes.append(zs.size)
-        return ratio(zs)
+        return ratio(zs, env)
 
     monkeypatch.setattr(ws, "ratio", spy)
     with pytest.raises(ContourTooCloseError):
@@ -440,6 +441,20 @@ def test_capped_contour_ends_at_the_refinement_cap(monkeypatch):
     n_top = QuadratureConfig.edge_samples_initial * 2 ** zerofind._MAX_EDGE_DOUBLINGS
     assert sizes == [4 * ((32 << k) + 1) for k in range(1, 12)]
     assert sizes[-1] == 4 * (n_top + 1)
+
+
+def test_winding_envelope_is_the_pointwise_envelope(monkeypatch):
+    # _winding evaluates the envelope once per abscissa of the vertical edges
+    ws = _Workspace(THREE_TERM)
+    ratio, calls = ws.ratio, []
+
+    def spy(zs, env):
+        calls.append(np.array_equal(env, coefficient_envelope(ws.f, zs.real)))
+        return ratio(zs, env)
+
+    monkeypatch.setattr(ws, "ratio", spy)
+    assert _winding(ws, Rect(-0.7, 0.4, -2.3, 1.9)) == 8
+    assert calls and all(calls)
 
 
 def _reference_ordinate(ws, r, window, b):
