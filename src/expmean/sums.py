@@ -16,7 +16,9 @@ Array evaluation takes one exponential per frequency generator, not per
 term: with L_j the lcm of coordinate j's denominators, a_i = sum_j P_ij g_j
 for g_j = b_j / L_j and integers P_ij in [0, _MAX_POWER] when that needs
 fewer generators than nonzero frequencies (else each nonzero frequency is a
-generator), and powers come from repeated products.  As g_j > 0 and P_ij >= 0,
+generator), and powers come from repeated products.  The exponentials at a
+set of points serve every sum with the same generators, such as f and a
+derivative that keeps every nonzero frequency.  As g_j > 0 and P_ij >= 0,
 partial products lie between 1 and the term, so they overflow exactly where
 the direct exponential does; 64 products lose about 64 eps ~ 7e-15, under
 the zero search's 1e-13 clearance.  Scalar ``evaluate`` stays direct, so
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -243,8 +245,9 @@ class ExponentialSum:
         return self._numeric
 
     @cached_property
-    def _generators(self) -> tuple[list[float], list[list[int]]]:
-        """(2*pi*g_j, P_i) with a_i = sum_j P_ij g_j; see the module docstring."""
+    def _generators(self) -> tuple[list[float], list, list[list[tuple[int, int]]]]:
+        """(2*pi*g_j; for each j the top power and the powers terms use; for each
+        term its (j, P_ij) with P_ij > 0), a_i = sum_j P_ij g_j; see the module docstring."""
         freqs, k = self._numeric[0], len(self.basis)
         coords = np.array([t.freq.coords for t in self.terms], dtype=object).reshape(-1, k)
         lcms = [math.lcm(*(q.denominator for q in col)) for col in coords.T]
@@ -252,9 +255,12 @@ class ExponentialSum:
         used = (powers != 0).any(axis=0)
         if np.all((powers >= 0) & (powers <= _MAX_POWER)) and used.sum() < np.count_nonzero(freqs):
             gens = [float(b / m) for b, m in zip(self.basis.fraction_values, lcms)]
-            return (TWO_PI * np.array(gens)[used]).tolist(), powers[:, used].astype(int).tolist()
-        nonzero = freqs != 0
-        return (TWO_PI * freqs[nonzero]).tolist(), np.eye(len(freqs), dtype=int)[:, nonzero].tolist()
+            scales, powers = TWO_PI * np.array(gens)[used], powers[:, used].astype(int)
+        else:
+            used = freqs != 0
+            scales, powers = TWO_PI * freqs[used], np.eye(len(freqs), dtype=int)[:, used]
+        factors = [[(j, p) for j, p in enumerate(row) if p] for row in powers.tolist()]
+        return scales.tolist(), [(max(col), set(col)) for col in powers.T.tolist()], factors
 
     def to_float_mode(self) -> "ExponentialSum":
         """Same sum with complex-float coefficients."""
@@ -355,36 +361,56 @@ def evaluate(f: ExponentialSum, z: complex) -> complex:
         return complex(vals.sum())
 
 
-def _power_sum(f: ExponentialSum, w: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] * prod_j u_j**P_ij, u_j = exp(2*pi*g_j*w): one exponential
-    per generator, and only the powers some term uses are kept."""
-    scales, powers = f._generators
+class Exponentials(NamedTuple):
+    """Points w and exp(s * w) for each generator scale s of a sum."""
+
+    points: np.ndarray
+    scales: list[float]
+    values: list[np.ndarray]
+
+
+def generator_exponentials(f: ExponentialSum, w: np.ndarray) -> Exponentials:
+    """exp(2*pi*g_j*w) for each generator g_j of f: all that array evaluation exponentiates."""
+    scales = f._generators[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Exponentials(w, scales, [np.exp(s * w) for s in scales])
+
+
+def _power_sum(f: ExponentialSum, e: Exponentials, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] * prod_j u_j**P_ij for the generator exponentials u_j of f
+    in e; only the powers some term uses are built, by repeated products."""
+    _, needs, factors = f._generators
     tables = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for scale, col in zip(scales, zip(*powers)):
-            u = np.exp(scale * w)
+        for u, (top, used) in zip(e.values, needs):
             cur, table = u, {1: u}
-            for p in range(2, max(col) + 1):
+            for p in range(2, top + 1):
                 cur = cur * u
-                if p in col:
+                if p in used:
                     table[p] = cur
             tables.append(table)
-        out = np.zeros(w.shape, dtype=np.result_type(w, coeffs))
-        for c, row in zip(coeffs, powers):
-            out += math.prod((table[p] for table, p in zip(tables, row) if p), start=c)
+        out = np.zeros(e.points.shape, dtype=np.result_type(e.points, coeffs))
+        for c, row in zip(coeffs, factors):
+            for j, p in row:
+                c = c * tables[j][p]
+            out += c
     return out
 
 
-def evaluate_array(f: ExponentialSum, zs: np.ndarray) -> np.ndarray:
+def evaluate_array(f: ExponentialSum, zs) -> np.ndarray:
     """Vectorized evaluation at an array of complex points, one exponential
     per generator: off the term-by-term sum by about eps * max|2*pi*a*z|
-    times the coefficient envelope, and non-finite where that sum is."""
-    return _power_sum(f, np.asarray(zs, dtype=np.complex128), f.numeric_parts()[1])
+    times the coefficient envelope, and non-finite where that sum is.  zs may
+    be the Exponentials of points; they are read when their scales are f's."""
+    if not (isinstance(zs, Exponentials) and zs.scales == f._generators[0]):
+        zs = generator_exponentials(f, np.asarray(getattr(zs, "points", zs), dtype=np.complex128))
+    return _power_sum(f, zs, f.numeric_parts()[1])
 
 
 def coefficient_envelope(f: ExponentialSum, x: np.ndarray) -> np.ndarray:
     """sum_i |c_i| * exp(2*pi*a_i*x) for real x: a pointwise scale for |f|."""
-    return _power_sum(f, np.asarray(x, dtype=np.float64), np.abs(f.numeric_parts()[1]))
+    x = np.asarray(x, dtype=np.float64)
+    return _power_sum(f, generator_exponentials(f, x), np.abs(f.numeric_parts()[1]))
 
 
 def add(a: ExponentialSum, b: ExponentialSum) -> ExponentialSum:

@@ -7,7 +7,8 @@ Inside the strip the zeros with |Im z| < R are isolated by recursive
 rectangle bisection driven by boundary winding counts, refined by damped
 Newton iteration, and assigned multiplicities by the winding count of a
 small surrounding square.  A winding count compares Simpson rules at
-doubling sample counts and evaluates each contour once.
+doubling sample counts and evaluates each contour once; f and f' share the
+generator exponentials of a contour.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
@@ -40,10 +41,12 @@ from .errors import (
 )
 from .sums import (
     ExponentialSum,
+    Exponentials,
     coefficient_envelope,
     derivative,
     evaluate,
     evaluate_array,
+    generator_exponentials,
 )
 
 _CLEARANCE_REL = 1e-13
@@ -172,8 +175,8 @@ class _Workspace:
         self.f = f.to_float_mode()
         self.df = derivative(self.f)
 
-    def ratio(self, zs: np.ndarray, env: np.ndarray) -> np.ndarray:
-        """f'/f at an array of points with envelope env; raises if the contour hits a zero."""
+    def ratio(self, zs: np.ndarray | Exponentials, env: np.ndarray) -> np.ndarray:
+        """f'/f at points, or their Exponentials, with envelope env; raises on a zero."""
         fv = evaluate_array(self.f, zs)
         dv = evaluate_array(self.df, zs)
         bad = ~np.isfinite(fv) | ~np.isfinite(dv) | (np.abs(fv) <= _CLEARANCE_REL * env)
@@ -215,11 +218,12 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
         n = _EDGE_SAMPLES << doubling
         t = np.arange(n + 1) / n
         zs = np.concatenate([a + d * t for a, d in zip(corners, deltas)])
+        level = generator_exponentials(ws.f, zs)
         # the envelope depends on Re z alone: one value for each vertical edge
         x = zs.real.reshape(2, 2, n + 1)  # (bottom, right), (top, left)
         env = coefficient_envelope(ws.f, np.concatenate([x[:, 0], x[:, 1, :1]], axis=1))
         env = np.concatenate([env[:, :-1], np.repeat(env[:, -1:], n + 1, axis=1)], axis=1)
-        edges = ws.ratio(zs, env.ravel()).reshape(4, n + 1)
+        edges = ws.ratio(level, env.ravel()).reshape(4, n + 1)
         if prev is None:
             # a contiguous copy keeps the product's summation that of a contour of its own
             prev = _simpson_value(deltas, edges[:, ::2].copy())

@@ -25,6 +25,7 @@ from expmean.sums import (
     evaluate_array,
     exp_sum,
     extreme_term,
+    generator_exponentials,
     multiply,
     normalize,
     reflect,
@@ -260,6 +261,33 @@ def test_evaluate_array_and_envelope_match_mpmath():
                 assert abs(v - complex(_mp_sum(coeffs, values, z))) <= b, (f, z)
                 assert abs(e - float(_mp_sum(np.abs(coeffs), values, z.real).real)) <= b, (f, z)
     assert paths == {False, True}
+
+
+@pytest.mark.parametrize(
+    "f, shares",
+    [
+        (exp_sum([(6, 0), (-5, "1/2"), (1, 1)]), True),
+        (exp_sum([(1, (0, 0, 0)), (2j, (1, 0, 0)), (-1, (0, 1, 0)), (3, (1, 1, 1))],
+                 FrequencyBasis(("1", SQRT2, SQRT3))), True),
+        (exp_sum([(1, -1), (2j, 0), (-1, "1/65"), (1, 1)]), True),
+        # 5e-324 * 2 pi/16 rounds to 0, so f' keeps only e(1): another generator
+        (exp_sum([(1, 0), (5e-324, "1/16"), (1, 1)]), False),
+    ],
+    ids=["laurent-image", "sqrt-lattice", "one-per-frequency", "derivative-loses-a-term"],
+)
+def test_shared_exponentials_evaluate_bitwise_as_fresh_points(f, shares):
+    rng = random.Random(3)
+    zs = np.array([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(40)])
+    df = derivative(f)
+    assert (df._generators[0] == f._generators[0]) == shares
+    shared = generator_exponentials(f, zs)
+    for g in (f, df):
+        assert evaluate_array(g, shared).tobytes() == evaluate_array(g, zs).tobytes()
+    # only a sum with f's generators may read f's values
+    poisoned = shared._replace(values=[np.full_like(u, np.nan) for u in shared.values])
+    assert np.isnan(evaluate_array(f, poisoned)).all()
+    got = evaluate_array(df, poisoned)
+    assert np.isnan(got).all() if shares else got.tobytes() == evaluate_array(df, zs).tobytes()
 
 
 def test_add_and_multiply_are_pointwise():

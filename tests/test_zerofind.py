@@ -431,7 +431,7 @@ def test_capped_contour_ends_at_the_refinement_cap(monkeypatch):
     ratio = ws.ratio
 
     def spy(zs, env):
-        sizes.append(zs.size)
+        sizes.append(zs.points.size)
         return ratio(zs, env)
 
     monkeypatch.setattr(ws, "ratio", spy)
@@ -449,7 +449,7 @@ def test_winding_envelope_is_the_pointwise_envelope(monkeypatch):
     ratio, calls = ws.ratio, []
 
     def spy(zs, env):
-        calls.append(np.array_equal(env, coefficient_envelope(ws.f, zs.real)))
+        calls.append(np.array_equal(env, coefficient_envelope(ws.f, zs.points.real)))
         return ratio(zs, env)
 
     monkeypatch.setattr(ws, "ratio", spy)
