@@ -397,7 +397,7 @@ def _power_sum(f: ExponentialSum, e: Exponentials, coeffs: np.ndarray) -> np.nda
     return out
 
 
-def evaluate_array(f: ExponentialSum, zs) -> np.ndarray:
+def evaluate_array(f: ExponentialSum, zs: np.ndarray | Exponentials) -> np.ndarray:
     """Vectorized evaluation at an array of complex points, one exponential
     per generator: off the term-by-term sum by about eps * max|2*pi*a*z|
     times the coefficient envelope, and non-finite where that sum is.  zs may

@@ -7,8 +7,9 @@ Inside the strip the zeros with |Im z| < R are isolated by recursive
 rectangle bisection driven by boundary winding counts, refined by damped
 Newton iteration, and assigned multiplicities by the winding count of a
 small surrounding square.  A winding count compares Simpson rules at
-doubling sample counts and evaluates each contour once; f and f' share the
-generator exponentials of a contour.
+doubling sample counts and takes each exponential once: f and f' share the
+generator exponentials of a contour, and a refined contour computes them at
+its new samples only.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
@@ -203,9 +204,10 @@ def _simpson_value(deltas: np.ndarray, edges: np.ndarray) -> complex:
 
 def _winding(ws: _Workspace, rect: Rect) -> int:
     """Winding number of f around rect: Simpson values at n and 2n samples per
-    edge, n doubling from _EDGE_SAMPLES, until two agree near an integer.  The
-    first contour, at 2 * _EDGE_SAMPLES, also gives the coarser value from its
-    even samples (t = 2k/2n is bitwise k/n), so each contour is evaluated once."""
+    edge, n doubling from _EDGE_SAMPLES, until two agree near an integer.  A
+    contour's even samples are the last one's (t = 2k/2n is bitwise k/n): the
+    first, at 2 * _EDGE_SAMPLES, gives the coarser value from them, and each
+    later one takes exponentials at its odd samples only."""
     corners = [
         complex(rect.re_min, rect.im_min),
         complex(rect.re_max, rect.im_min),
@@ -213,12 +215,19 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
         complex(rect.re_min, rect.im_max),
     ]
     deltas = np.array([b - a for a, b in zip(corners, corners[1:] + corners[:1])])
-    prev = None
+    prev = level = None
     for doubling in range(1, _MAX_EDGE_DOUBLINGS + 1):
         n = _EDGE_SAMPLES << doubling
         t = np.arange(n + 1) / n
         zs = np.concatenate([a + d * t for a, d in zip(corners, deltas)])
-        level = generator_exponentials(ws.f, zs)
+        if level is None:
+            level = generator_exponentials(ws.f, zs)
+        else:
+            odd = generator_exponentials(ws.f, zs.reshape(4, n + 1)[:, 1::2]).values
+            values = [np.empty((4, n + 1), dtype=np.complex128) for _ in odd]
+            for u, even, new in zip(values, level.values, odd):
+                u[:, ::2], u[:, 1::2] = even.reshape(4, -1), new
+            level = level._replace(points=zs, values=[u.ravel() for u in values])
         # the envelope depends on Re z alone: one value for each vertical edge
         x = zs.real.reshape(2, 2, n + 1)  # (bottom, right), (top, left)
         env = coefficient_envelope(ws.f, np.concatenate([x[:, 0], x[:, 1, :1]], axis=1))

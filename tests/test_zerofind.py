@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expmean import zerofind
+from expmean import sums, zerofind
 from expmean.errors import (
     ContourOnZeroError,
     ContourTooCloseError,
@@ -365,15 +365,20 @@ def test_fewnomial_window_on_found_zeros():
             assert j - i < n
 
 
+def _contour(rect, n):
+    """Corner-to-corner steps and the n + 1 points on each edge, edge by edge."""
+    corners = [complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
+               complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)]
+    deltas = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
+    t = np.arange(n + 1) / n
+    return deltas, np.concatenate([a + d * t for a, d in zip(corners, deltas)])
+
+
 def _reference_winding(ws, rect):
     """The winding loop that evaluates a fresh contour at both n and 2n."""
 
     def value(n):
-        corners = [complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
-                   complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)]
-        deltas = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
-        t = np.arange(n + 1) / n
-        zs = np.concatenate([a + d * t for a, d in zip(corners, deltas)])
+        deltas, zs = _contour(rect, n)
         samples = ws.ratio(zs, coefficient_envelope(ws.f, zs.real))
         w = np.ones(n + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
@@ -455,6 +460,50 @@ def test_winding_envelope_is_the_pointwise_envelope(monkeypatch):
     monkeypatch.setattr(ws, "ratio", spy)
     assert _winding(ws, Rect(-0.7, 0.4, -2.3, 1.9)) == 8
     assert calls and all(calls)
+
+
+@pytest.mark.parametrize(
+    "f, rect",
+    # left edges 1e-3 from the zeros ln(2)/2pi and 0.2394 - 0.6386i: four levels each
+    [(TWO_TERM, Rect(0, 1, 0.1, 0.8)), (THREE_TERM, Rect(0.1113, 1, -0.3, 0.3)),
+     (exp_sum([(1, (0, 0)), (2, (1, 0)), (-1j, (0, 1))], FrequencyBasis(("1", SQRT2))),
+      Rect(0.2404, 1.24, -0.94, -0.34))],
+    ids=["capped", "laurent-image", "sqrt2-lattice"],
+)
+def test_refined_levels_are_bitwise_fresh_evaluations(monkeypatch, f, rect):
+    # a level reuses the exponentials of the samples it shares with the level below
+    ws = _Workspace(f)
+    ratio, levels = ws.ratio, []
+
+    def spy(zs, env):
+        levels.append((zs.points, ratio(zs, env)))
+        return levels[-1][1]
+
+    monkeypatch.setattr(ws, "ratio", spy)
+    _outcome(_winding, ws, rect)
+    assert len(levels) >= 2
+    for k, (points, got) in enumerate(levels, start=1):
+        zs = _contour(rect, zerofind._EDGE_SAMPLES << k)[1]
+        assert points.tobytes() == zs.tobytes()
+        assert got.tobytes() == (evaluate_array(ws.df, zs) / evaluate_array(ws.f, zs)).tobytes()
+
+
+def test_capped_contour_takes_one_exponential_per_sample(monkeypatch):
+    build, counts = sums.generator_exponentials, []
+
+    def spy(f, w):
+        if np.iscomplexobj(w):  # the envelope's real exponentials are not counted
+            counts.append(np.size(w) * len(f._generators[0]))
+        return build(f, w)
+
+    monkeypatch.setattr(sums, "generator_exponentials", spy)
+    monkeypatch.setattr(zerofind, "generator_exponentials", spy)
+    with pytest.raises(ContourTooCloseError):
+        _winding(_Workspace(TWO_TERM), Rect(0, 1, 0.1, 0.8))
+    # one generator: one exponential per distinct sample of the 11 levels, the
+    # top level's 4(n_top + 1), where f and f' at every level would take 2.1M
+    n_top = zerofind._EDGE_SAMPLES << zerofind._MAX_EDGE_DOUBLINGS
+    assert sum(counts) == 4 * (n_top + 1)
 
 
 def _reference_ordinate(ws, r, window, b):
