@@ -67,7 +67,6 @@ from .zerofind import (
     Rect,
     Zero,
     ZeroSearch,
-    find_zeros,
     safe_ordinate,
     search_zeros,
     strip_bound,
@@ -125,7 +124,6 @@ __all__ = [
     "Rect",
     "Zero",
     "ZeroSearch",
-    "find_zeros",
     "safe_ordinate",
     "search_zeros",
     "strip_bound",

@@ -4,12 +4,12 @@ Every zero of a sum with at least two terms lies in an explicit vertical
 strip |Re z| < B: once the extreme term is factored out, the remaining
 tail is < 1 in modulus beyond the strip, so the sum cannot vanish there.
 Inside the strip the zeros with |Im z| < R are isolated by recursive
-rectangle bisection driven by boundary winding counts, refined by damped
-Newton iteration, and assigned multiplicities by the winding count of a
-small surrounding square.  A winding count compares Simpson rules at
-doubling sample counts and takes each exponential once: f and f' share the
-generator exponentials of a contour, and a refined contour computes them at
-its new samples only.
+rectangle bisection driven by boundary winding counts and refined by
+damped Newton iteration; each zero's multiplicity is the winding count of
+the box that claims it.  A winding count compares Simpson rules at doubling
+sample counts and takes each exponential once: f and f' share the generator
+exponentials of a contour, and a refined contour computes them at its new
+samples only.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
@@ -116,7 +116,7 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class ZeroSearch:
-    """find_zeros plus the contour data the verifier wants to inspect."""
+    """The zeros found plus the contour data the verifier wants to inspect."""
 
     zeros: list[Zero]
     strip: float
@@ -373,23 +373,24 @@ def _newton_refine(ws: _Workspace, box: Rect) -> complex | None:
     return None
 
 
-def _multiplicity(ws: _Workspace, point: complex, radius: float) -> int:
-    r = radius
+def _accounts_for(ws: _Workspace, z: complex, count: int, box: Rect) -> bool:
+    """Whether the zero at z carries the box's whole count: a square around z
+    of half-side min(_MULT_RADIUS, box diameter) must wind count times.  Six
+    squares are tried, halving the side after each failed contour; a failed
+    check says no."""
+    if count == 1:
+        return True
+    r = min(_MULT_RADIUS, box.diameter())
     for _ in range(6):
-        sq = Rect(point.real - r, point.real + r, point.imag - r, point.imag + r)
         try:
-            return _winding(ws, sq)
+            return _winding(ws, Rect(z.real - r, z.real + r, z.imag - r, z.imag + r)) == count
         except (ContourTooCloseError, ContourOnZeroError):
             r *= 0.5
-    raise NumericalError(f"no clean multiplicity contour around {point}")
+    return False
 
 
-def _accounts_for(ws: _Workspace, z: complex, count: int, box: Rect) -> bool:
-    """Whether the zero at z carries the box's whole count; a failed check says no."""
-    try:
-        return count == 1 or _multiplicity(ws, z, min(_MULT_RADIUS, box.diameter())) == count
-    except NumericalError:
-        return False
+def _position(zero: Zero) -> tuple[float, float]:
+    return zero.location.imag, zero.location.real
 
 
 def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
@@ -399,7 +400,10 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     by the point Newton finds from its center when that point accounts
     for the box's whole count.  Otherwise, as for a mixed cluster of
     near-coincident but distinct zeros, it is bisected further, so each
-    zero gets its own representative.
+    zero gets its own representative.  A claim's multiplicity is the
+    winding count of its box, so the multiplicities add up to the outer
+    winding by construction.  Two claims within _MERGE_RADIUS of each other
+    raise: box counts cannot see one zero claimed by two boxes.
     """
     ws, b, height = _ordinate_step(f, R)
     outer = Rect(-b, b, -height, height)
@@ -407,7 +411,7 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     if total == 0:
         return ZeroSearch([], b, height, 0)
 
-    points: list[complex] = []
+    claims: list[Zero] = []
     stack: list[tuple[Rect, int, int]] = [(outer, total, 0)]
     while stack:
         box, count, depth = stack.pop()
@@ -416,7 +420,7 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
         if box.diameter() < _BOX_DIAMETER:
             z = _newton_refine(ws, box)
             if z is not None and _accounts_for(ws, z, count, box):
-                points.append(z)
+                claims.append(Zero(z, count))
                 continue
             if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
                 z = box.center()
@@ -424,56 +428,33 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
                     raise NumericalError(
                         f"could not refine the zero inside {box} below the residual bound"
                     )
-                points.append(z)
+                claims.append(Zero(z, count))
                 continue
         elif depth >= _MAX_DEPTH:
             raise NumericalError(
                 "subdivision depth exhausted before isolation",
-                partial=_collect(ws, points, total, check=False),
+                partial=sorted(claims, key=_position),
             )
         for half, winding in _bisect(ws, box, count):
             stack.append((half, winding, depth + 1))
 
-    zeros = _collect(ws, points, total, check=True)
+    zeros = sorted(claims, key=_position)
+    for i, a in enumerate(zeros):
+        for c in zeros[i + 1:]:  # sorted by Im z: only the next few can lie within reach
+            if c.location.imag - a.location.imag > _MERGE_RADIUS:
+                break
+            if abs(c.location - a.location) <= _MERGE_RADIUS:
+                raise NumericalError(
+                    f"two boxes claim the zeros {a.location} and {c.location}", partial=zeros
+                )
+    if sum(z.multiplicity for z in zeros) != total:
+        raise NumericalError(
+            "multiplicities do not add up to the boundary winding count", partial=zeros
+        )
+    for z in zeros:
+        if not ws.small_residual(z.location, _RESIDUAL_TOL):
+            raise NumericalError(f"zero at {z.location} fails the residual bound", partial=zeros)
     for z in zeros:
         if not (abs(z.location.real) < b + 1e-12 and abs(z.location.imag) < height):
             raise NumericalError(f"refined zero {z.location} escaped the search box")
     return ZeroSearch(zeros, b, height, total)
-
-
-def _collect(ws: _Workspace, points: list[complex], total: int, check: bool) -> list[Zero]:
-    """Merge nearby candidates, assign multiplicities, check conservation."""
-    merged: list[complex] = []
-    for p in sorted(points, key=lambda pc: (pc.imag, pc.real)):
-        if any(abs(p - q) <= _MERGE_RADIUS for q in merged):
-            continue
-        merged.append(p)
-
-    zeros: list[Zero] = []
-    for p in merged:
-        nearest = min(
-            (abs(p - q) for q in merged if q is not p), default=math.inf
-        )
-        radius = min(_MULT_RADIUS, nearest / 3.0) if nearest < math.inf else _MULT_RADIUS
-        mult = _multiplicity(ws, p, radius)
-        if mult <= 0:
-            raise NumericalError(f"refined point {p} shows no enclosed zero")
-        zeros.append(Zero(p, mult))
-    zeros.sort(key=lambda z: (z.location.imag, z.location.real))
-
-    if check:
-        if sum(z.multiplicity for z in zeros) != total:
-            raise NumericalError(
-                "multiplicities do not add up to the boundary winding count", partial=zeros
-            )
-        for z in zeros:
-            if not ws.small_residual(z.location, _RESIDUAL_TOL):
-                raise NumericalError(
-                    f"zero at {z.location} fails the residual bound", partial=zeros
-                )
-    return zeros
-
-
-def find_zeros(f: ExponentialSum, R: float) -> list[Zero]:
-    """All zeros of f with |Im z| < R (up to the safe-ordinate shift)."""
-    return search_zeros(f, R).zeros

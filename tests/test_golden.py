@@ -24,6 +24,7 @@ CASES = [
     for command in ("mean", "laurent-check")
 ] + [
     ("two_term.zeros-R2", ["zeros", "--R", "2", "--input", "problems/two_term.json"]),
+    ("double_zero.zeros-R2", ["zeros", "--R", "2", "--input", "problems/double_zero.json"]),
     ("sqrt2.verify", ["verify", "--R-list", "1,2,3", "--input", "problems/sqrt2.json"]),
 ]
 

@@ -11,6 +11,7 @@ RETIRED = (
     "constant_term_A_exact",
     "QuadratureConfig",
     "ExactCoeff",
+    "find_zeros",
 )
 
 

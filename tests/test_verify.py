@@ -10,7 +10,7 @@ from expmean.laurent import mean_via_substitution
 from expmean.meanvalue import mean_value
 from expmean.sums import FrequencyBasis, exp_sum, one_sum
 from expmean.verify import convergence_report, fewnomial_check, weighted_sum
-from expmean.zerofind import Zero, find_zeros, search_zeros
+from expmean.zerofind import Zero, search_zeros
 
 TWO_TERM = exp_sum([(1, 0), (1, 1)])
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])
@@ -25,7 +25,7 @@ def empirical_mean(f, g, R):
 
 
 def test_weighted_sum_examples():
-    zeros = find_zeros(TWO_TERM, 3.0)
+    zeros = search_zeros(TWO_TERM, 3.0).zeros
     assert len(zeros) == 6
     g = exp_sum([(1, -1)])
     assert abs(weighted_sum(zeros, g) + 6) < 1e-9
@@ -94,7 +94,7 @@ def test_convergence_report_failing_tolerance():
 
 
 def test_fewnomial_check_examples():
-    zeros = find_zeros(TWO_TERM, 6.0)
+    zeros = search_zeros(TWO_TERM, 6.0).zeros
     assert fewnomial_check(zeros, TWO_TERM.num_terms(), 1.0)
     packed = [Zero(complex(0, 0.1), 1), Zero(complex(0.2, 0.1), 1)]
     assert not fewnomial_check(packed, 2, 1.0)
@@ -106,7 +106,7 @@ def test_fewnomial_check_examples():
 
 def test_fewnomial_check_on_pipeline_outputs():
     for f, R in ((TWO_TERM, 5.0), (THREE_TERM, 4.5)):
-        zeros = find_zeros(f, R)
+        zeros = search_zeros(f, R).zeros
         span = float(f.freq_values()[-1] - f.freq_values()[0])
         assert fewnomial_check(zeros, f.num_terms(), span)
 

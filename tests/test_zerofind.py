@@ -19,6 +19,7 @@ from expmean.errors import (
     ContourOnZeroError,
     ContourTooCloseError,
     InputError,
+    NumericalError,
     ResourceLimitError,
 )
 from expmean.laurent import laurent, laurent_images, roots_nonzero
@@ -30,7 +31,6 @@ from expmean.zerofind import (
     Zero,
     _winding,
     _Workspace,
-    find_zeros,
     safe_ordinate,
     search_zeros,
     strip_bound,
@@ -41,6 +41,7 @@ SQRT2 = "1.41421356237309504880168872421"
 TWO_TERM = exp_sum([(1, 0), (1, 1)])  # zeros at i(k + 1/2)
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])  # zeros at (ln2 or ln3)/2pi + ik
 DOUBLE = exp_sum([(1, 0), (-2, 1), (1, 2)])  # (e^{2pi z} - 1)^2, double zeros at ik
+TRIPLE = exp_sum([(1, 0), (-3, 1), (3, 2), (-1, 3)])  # (1 - e^{2pi z})^3, triple zeros at ik
 
 
 def winding_count(f, rect):
@@ -139,8 +140,8 @@ def test_search_has_no_settings():
     assert vars(QuadratureConfig()) == {}
     assert QuadratureConfig().edge_samples_initial == 32
     params = {fn: list(inspect.signature(fn).parameters)
-              for fn in (search_zeros, find_zeros, convergence_report)}
-    assert params == {search_zeros: ["f", "R"], find_zeros: ["f", "R"],
+              for fn in (search_zeros, convergence_report)}
+    assert params == {search_zeros: ["f", "R"],
                       convergence_report: ["f", "g", "R_list", "tol"]}
 
 
@@ -200,7 +201,7 @@ def test_safe_ordinate_keeps_periodic_ties_at_the_nearer_line():
         scale = cmath.rect(0.5 + 0.3 * k, 1.1 * k)
         f = exp_sum([(complex(scale * c), Fraction(j, 2)) for j, c in enumerate(coeffs)])
         assert 1.0 < safe_ordinate(f, R) <= R + zerofind._ordinate_window(f, R)
-    assert sum(z.multiplicity for z in find_zeros(f, R)) == 4
+    assert sum(z.multiplicity for z in search_zeros(f, R).zeros) == 4
 
 
 def test_zero_budget_is_checked_before_any_evaluation(monkeypatch):
@@ -218,15 +219,15 @@ def test_zero_budget_is_checked_before_any_evaluation(monkeypatch):
 def test_zero_budget_boundary(monkeypatch):
     monkeypatch.setattr(zerofind, "_MAX_ZEROS", 10)
     # expected counts: 2 * 5 * 1 = 10 is within the budget, 2 * 5.01 is not
-    assert len(find_zeros(TWO_TERM, 5.0)) == 10
+    assert len(search_zeros(TWO_TERM, 5.0).zeros) == 10
     with pytest.raises(ResourceLimitError, match="zero budget of 10"):
-        find_zeros(TWO_TERM, 5.01)
+        search_zeros(TWO_TERM, 5.01)
     with pytest.raises(ResourceLimitError):
         safe_ordinate(THREE_TERM, 2.51)
 
 
 def test_find_zeros_two_term():
-    zs = find_zeros(TWO_TERM, 3.0)
+    zs = search_zeros(TWO_TERM, 3.0).zeros
     assert len(zs) == 6
     expected = [complex(0, k + 0.5) for k in range(-3, 3)]
     for z, e in zip(zs, expected):
@@ -235,7 +236,7 @@ def test_find_zeros_two_term():
 
 
 def test_find_zeros_double_zero():
-    zs = find_zeros(DOUBLE, 0.6)
+    zs = search_zeros(DOUBLE, 0.6).zeros
     assert len(zs) == 1
     assert zs[0].multiplicity == 2
     assert abs(zs[0].location) < 1e-6
@@ -243,7 +244,7 @@ def test_find_zeros_double_zero():
 
 def test_find_zeros_single_term_raises():
     with pytest.raises(InputError):
-        find_zeros(exp_sum([(2, 1)]), 1.0)
+        search_zeros(exp_sum([(2, 1)]), 1.0)
 
 
 def test_find_zeros_against_root_lattice():
@@ -275,6 +276,63 @@ def test_small_box_with_two_zeros_is_split_again():
     expected = sorted([0j, complex(math.log(1.002) / (2 * math.pi), 0)], key=lambda z: z.real)
     for z, e in zip(sorted(zs, key=lambda z: z.location.real), expected):
         assert abs(z.location - e) < 1e-9
+
+
+@pytest.mark.parametrize("f, R", [(DOUBLE, 0.6), (TRIPLE, 1.3), (THREE_TERM, 5.1)],
+                         ids=["double", "triple", "simple"])
+def test_multiplicity_is_an_independent_winding(f, R):
+    # the count of the claiming box equals the winding of a square around the zero
+    zs = search_zeros(f, R).zeros
+    assert zs
+    ws, r = _Workspace(f), zerofind._MULT_RADIUS
+    for z in zs:
+        p = z.location
+        assert _winding(ws, Rect(p.real - r, p.real + r, p.imag - r, p.imag + r)) == z.multiplicity
+
+
+def _contour_sides(monkeypatch):
+    """The shorter side of every contour the search winds, in call order."""
+    sides, winding = [], zerofind._winding
+
+    def spy(ws, rect):
+        sides.append(min(rect.width(), rect.height()))
+        return winding(ws, rect)
+
+    monkeypatch.setattr(zerofind, "_winding", spy)
+    return sides
+
+
+def test_simple_zeros_wind_no_small_square(monkeypatch):
+    # a box of count 1 needs no square to measure its zero's multiplicity
+    sides = _contour_sides(monkeypatch)
+    zs = search_zeros(THREE_TERM, 5.1).zeros
+    assert all(z.multiplicity == 1 for z in zs)
+    assert sides and min(sides) > 2 * zerofind._MULT_RADIUS
+
+
+def test_depth_exhaustion_reports_sorted_claims_without_windings(monkeypatch):
+    # at depth 22 the zeros ln(2)/2pi + i and ln(3)/2pi + i are claimed before
+    # another box runs out of depth; the error path winds no square
+    monkeypatch.setattr(zerofind, "_MAX_DEPTH", 22)
+    sides = _contour_sides(monkeypatch)
+    with pytest.raises(NumericalError, match="depth exhausted") as exc:
+        search_zeros(THREE_TERM, 1.3)
+    partial = exc.value.partial
+    assert partial == sorted(partial, key=lambda z: (z.location.imag, z.location.real))
+    got = sorted((z.location for z in partial), key=lambda z: z.real)
+    for z, k in zip(got, (2, 3), strict=True):
+        assert abs(z - complex(math.log(k) / (2 * math.pi), 1)) < 1e-9
+    assert all(z.multiplicity == 1 for z in partial)
+    assert min(sides) > 2 * zerofind._MULT_RADIUS
+
+
+def test_double_claim_raises_with_partial(monkeypatch):
+    # two boxes of count 1 whose Newton points coincide: counts add up, yet
+    # one zero is claimed twice and the other missed
+    monkeypatch.setattr(zerofind, "_newton_refine", lambda ws, box: 0.5j)
+    with pytest.raises(NumericalError, match="two boxes claim") as exc:
+        search_zeros(TWO_TERM, 1.0)
+    assert exc.value.partial == [Zero(0.5j, 1), Zero(0.5j, 1)]
 
 
 @settings(max_examples=20)
@@ -346,15 +404,15 @@ def test_search_zeros_random_conservation():
 
 
 def test_find_zeros_deterministic():
-    a = find_zeros(THREE_TERM, 5.1)
-    b = find_zeros(THREE_TERM, 5.1)
+    a = search_zeros(THREE_TERM, 5.1).zeros
+    b = search_zeros(THREE_TERM, 5.1).zeros
     assert a == b
 
 
 def test_fewnomial_window_on_found_zeros():
     # fewer than n zeros in any horizontal strip of height < 1/(a_n - a_1)
     for f, R, n in ((TWO_TERM, 6.0, 2), (THREE_TERM, 6.0, 3)):
-        zs = find_zeros(f, R)
+        zs = search_zeros(f, R).zeros
         span = float(f.freq_values()[-1] - f.freq_values()[0])
         h = 0.999 / span
         ims = sorted(z.location.imag for z in zs for _ in range(z.multiplicity))
