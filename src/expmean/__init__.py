@@ -19,7 +19,6 @@ from .errors import (
 from .exact import GaussianRational, as_fraction
 from .laurent import (
     LaurentPolynomial,
-    laurent,
     laurent_images,
     mean_via_substitution,
     residue_end_coefficient,
@@ -32,7 +31,6 @@ from .meanvalue import (
     constant_term_A,
     mean_value,
     mean_zero_count,
-    semigroup_contains,
     support_semigroup_generators,
     truncated_reciprocal,
 )
@@ -54,13 +52,11 @@ from .sums import (
     normalize,
     one_sum,
     reflect,
-    zero_sum,
 )
 from .verify import (
     ConvergenceReport,
     ReportRow,
     convergence_report,
-    fewnomial_check,
     weighted_sum,
 )
 from .zerofind import (
@@ -84,7 +80,6 @@ __all__ = [
     "GaussianRational",
     "as_fraction",
     "LaurentPolynomial",
-    "laurent",
     "laurent_images",
     "mean_via_substitution",
     "residue_end_coefficient",
@@ -95,7 +90,6 @@ __all__ = [
     "constant_term_A",
     "mean_value",
     "mean_zero_count",
-    "semigroup_contains",
     "support_semigroup_generators",
     "truncated_reciprocal",
     "DEFAULT_BASIS",
@@ -115,11 +109,9 @@ __all__ = [
     "normalize",
     "one_sum",
     "reflect",
-    "zero_sum",
     "ConvergenceReport",
     "ReportRow",
     "convergence_report",
-    "fewnomial_check",
     "weighted_sum",
     "Rect",
     "Zero",

@@ -11,8 +11,10 @@ ways:
   factor of z that turns the 1/z coefficient into a constant term), and
 * by locating the roots numerically and adding up g's values.
 
-Agreement between the two is the main correctness oracle for the series
-engine on commensurate frequencies.
+The root solve returns every root as often as its multiplicity, so the sum
+needs no multiplicities and never has to tell a multiple root from a
+cluster of close simple ones.  Agreement between the two routes is the main
+correctness oracle for the series engine on commensurate frequencies.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import InputError, NumericalError, ResourceLimitError
 from .meanvalue import constant_term_A
 from .sums import DEFAULT_BASIS, End, ExponentialSum, TWO_PI, exp_sum
 
-_CLUSTER_RADIUS = 1e-7
 # np.roots builds a companion matrix of this order: at 1024 it takes about
 # 4 s on one core and 16 MB, and the cost grows with the cube of the degree
 _MAX_DEGREE = 1024
@@ -77,16 +78,11 @@ class LaurentPolynomial:
         return "LaurentPolynomial(" + " + ".join(bits) + ")"
 
 
-def laurent(terms: Mapping[int, complex]) -> LaurentPolynomial:
-    return LaurentPolynomial(terms)
+def roots_nonzero(p: LaurentPolynomial) -> list[complex]:
+    """Roots away from the origin, repeated by multiplicity, sorted by position.
 
-
-def roots_nonzero(p: LaurentPolynomial) -> list[tuple[complex, int]]:
-    """Roots away from the origin, with multiplicities, sorted by position.
-
-    Total multiplicity always equals the exponent span.  Close roots
-    (within 1e-7) are merged into one entry with their count.  A span
-    above _MAX_DEGREE raises ResourceLimitError before any work.
+    There are always exactly exponent-span of them.  A span above
+    _MAX_DEGREE raises ResourceLimitError before any work.
     """
     if p.is_zero():
         raise InputError("zero polynomial has no root set")
@@ -105,25 +101,14 @@ def roots_nonzero(p: LaurentPolynomial) -> list[tuple[complex, int]]:
             roots = np.roots(coeffs[::-1])
     except np.linalg.LinAlgError as exc:  # the companion matrix overflowed
         raise NumericalError(f"polynomial root solve failed: {exc}") from exc
-
-    clusters: list[list[complex]] = []
-    for z in sorted(map(complex, roots), key=lambda w: (w.real, w.imag)):
-        for cl in clusters:
-            if abs(z - cl[0]) <= _CLUSTER_RADIUS:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    out = [(sum(cl) / len(cl), len(cl)) for cl in clusters]
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
+    return sorted(map(complex, roots), key=lambda w: (w.real, w.imag))
 
 
 def sum_over_roots(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
     """Sum of g's values, with multiplicity, over the non-zero roots of f."""
     total = 0j
-    for z, mult in roots_nonzero(f):
-        total += mult * g.evaluate(z)
+    for z in roots_nonzero(f):
+        total += g.evaluate(z)
     return total
 
 

@@ -48,7 +48,6 @@ from .sums import (
     ExponentialSum,
     Frequency,
     FrequencyBasis,
-    DEFAULT_BASIS,
     TWO_PI,
     derivative,
     divide_by_extreme_term,
@@ -61,8 +60,6 @@ CutoffLike = Union[int, float, str, Fraction]
 
 # points one reciprocal series may queue before it gives up
 _MAX_SERIES_TERMS = 100_000
-# multiplier choices one semigroup membership search may expand
-_MAX_SEMIGROUP_NODES = 1_000_000
 
 
 def _as_cutoff(c: CutoffLike) -> Fraction:
@@ -272,77 +269,6 @@ def support_semigroup_generators(
         [first - t.freq for t in reversed(f.terms[1:])],
         [last - t.freq for t in reversed(f.terms[:-1])],
     )
-
-
-def semigroup_contains(
-    generators: list[Frequency],
-    alpha: Frequency,
-    basis: FrequencyBasis = DEFAULT_BASIS,
-) -> bool:
-    """Exact test: is alpha a non-negative integer combination of generators?
-
-    All generators must have numeric values of one strict sign.  Search is
-    depth-first over multiplier choices with value-based pruning; more than
-    _MAX_SEMIGROUP_NODES node expansions raise rather than guess.
-    """
-    if alpha.is_zero():
-        return True
-    if not generators:
-        return False
-    vals = [basis.value_key(g) for g in generators]
-    if any(v == 0 for v in vals):
-        raise InputError("semigroup generators must be non-zero")
-    if all(v > 0 for v in vals):
-        sign = 1
-    elif all(v < 0 for v in vals):
-        sign = -1
-    else:
-        raise InputError("semigroup generators must share one sign")
-
-    target_val = basis.value_key(alpha)
-    if sign * target_val < 0:
-        return False
-
-    # mirror everything to the positive side
-    if sign < 0:
-        gens = [-g for g in generators]
-        vals = [-v for v in vals]
-        target = -alpha
-        target_val = -target_val
-    else:
-        gens = list(generators)
-        target = alpha
-
-    order = sorted(range(len(gens)), key=lambda i: vals[i], reverse=True)
-    gens = [gens[i] for i in order]
-    vals = [vals[i] for i in order]
-
-    nodes = 0
-
-    def dfs(idx: int, rem: Frequency, rem_val: Fraction) -> bool:
-        nonlocal nodes
-        if rem_val == 0:
-            return rem.is_zero()
-        if idx == len(gens) - 1:
-            nodes += 1
-            if nodes > _MAX_SEMIGROUP_NODES:
-                raise ResourceLimitError("semigroup membership search exceeded node bound")
-            m = rem_val / vals[idx]
-            if m.denominator != 1:
-                return False
-            scaled = Frequency(tuple(c * m for c in gens[idx].coords))
-            return scaled.coords == rem.coords
-        top = int(rem_val / vals[idx])
-        for m in range(top, -1, -1):
-            nodes += 1
-            if nodes > _MAX_SEMIGROUP_NODES:
-                raise ResourceLimitError("semigroup membership search exceeded node bound")
-            step = Frequency(tuple(c * m for c in gens[idx].coords))
-            if dfs(idx + 1, rem - step, rem_val - m * vals[idx]):
-                return True
-        return False
-
-    return dfs(0, target, target_val)
 
 
 def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:

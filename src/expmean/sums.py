@@ -343,10 +343,6 @@ def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> 
     return normalize(raw, basis, exact)
 
 
-def zero_sum(basis: FrequencyBasis | None = None, exact: bool = False) -> ExponentialSum:
-    return ExponentialSum((), basis or DEFAULT_BASIS, exact)
-
-
 def one_sum(basis: FrequencyBasis | None = None, exact: bool = False) -> ExponentialSum:
     return exp_sum([(1, 0)], basis, exact)
 

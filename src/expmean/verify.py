@@ -4,7 +4,9 @@ S(R) is the sum of g over the zeros of f with |Im z| < R, counted with
 multiplicity.  The mean value is the limit of S(R)/2R, and the horizontal
 boundary integrals stay bounded as R grows, so the empirical mean should
 approach the symbolic one like O(1/R).  This module computes S(R)/2R from
-located zeros and reports the error trend over a ladder of heights.
+located zeros and reports the error trend over a ladder of heights.  The
+zeros come from search_zeros, which has already checked them against the
+per-window count bound, so the ladder takes them as they are.
 """
 
 from __future__ import annotations
@@ -115,27 +117,3 @@ def convergence_report(
     return ConvergenceReport(
         symbolic_mean=symbolic, rows=rows, verdict=verdict, tolerance=tol
     )
-
-
-def fewnomial_check(zeros: list[Zero], n: int, span: float) -> bool:
-    """Fewer than n zeros in every horizontal window of height 0.999/span.
-
-    A sum of n terms with frequency span a_n - a_1 admits fewer than n
-    zeros in any horizontal strip strictly lower than 1/(a_n - a_1); this
-    scans all anchored windows over the sorted imaginary parts.
-    """
-    if span <= 0:
-        raise InputError("frequency span must be positive")
-    h = 0.999 / span
-    ims = sorted(
-        z.location.imag for z in zeros for _ in range(z.multiplicity)
-    )
-    j = 0
-    for i in range(len(ims)):
-        if j < i:
-            j = i
-        while j < len(ims) and ims[j] - ims[i] < h:
-            j += 1
-        if j - i >= n:
-            return False
-    return True

@@ -26,7 +26,9 @@ sizes and tolerances are the constants below.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -403,7 +405,9 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     zero gets its own representative.  A claim's multiplicity is the
     winding count of its box, so the multiplicities add up to the outer
     winding by construction.  Two claims within _MERGE_RADIUS of each other
-    raise: box counts cannot see one zero claimed by two boxes.
+    raise: box counts cannot see one zero claimed by two boxes.  So do n or
+    more zeros, counted with multiplicity, in a window of height
+    0.999/(a_n - a_1): a sum of n terms has fewer there.
     """
     ws, b, height = _ordinate_step(f, R)
     outer = Rect(-b, b, -height, height)
@@ -447,7 +451,18 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
                 raise NumericalError(
                     f"two boxes claim the zeros {a.location} and {c.location}", partial=zeros
                 )
-    if sum(z.multiplicity for z in zeros) != total:
+    # fewer than n zeros in any window of height below 1/span, with multiplicity
+    ims = [z.location.imag for z in zeros]
+    upto = list(itertools.accumulate((z.multiplicity for z in zeros), initial=0))
+    n, vals = ws.f.num_terms(), ws.f.freq_values()
+    window = 0.999 / float(vals[-1] - vals[0])
+    for i, y in enumerate(ims):
+        if upto[bisect.bisect_left(ims, y + window)] - upto[i] >= n:
+            raise NumericalError(
+                f"{n} or more zeros lie in the window of height {window:.6g} above Im z = {y}",
+                partial=zeros,
+            )
+    if upto[-1] != total:
         raise NumericalError(
             "multiplicities do not add up to the boundary winding count", partial=zeros
         )

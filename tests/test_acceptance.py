@@ -23,8 +23,9 @@ from expmean.laurent import (
 )
 from expmean.meanvalue import mean_value, mean_zero_count
 from expmean.sums import ExponentialSum, Frequency, FrequencyBasis, exp_sum, one_sum
-from expmean.verify import convergence_report, fewnomial_check, weighted_sum
+from expmean.verify import convergence_report, weighted_sum
 from expmean.zerofind import ZeroSearch, search_zeros
+from fewnomial import fewnomial_check
 
 SQRT2 = "1.41421356237309504880168872421"
 SQRT5 = "2.2360679774997896964091736688"

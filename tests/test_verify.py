@@ -5,12 +5,13 @@ import cmath
 import pytest
 
 from expmean import verify, zerofind
-from expmean.errors import InputError
+from expmean.errors import InputError, NumericalError
 from expmean.laurent import mean_via_substitution
 from expmean.meanvalue import mean_value
 from expmean.sums import FrequencyBasis, exp_sum, one_sum
-from expmean.verify import convergence_report, fewnomial_check, weighted_sum
+from expmean.verify import convergence_report, weighted_sum
 from expmean.zerofind import Zero, search_zeros
+from fewnomial import fewnomial_check
 
 TWO_TERM = exp_sum([(1, 0), (1, 1)])
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])
@@ -93,18 +94,21 @@ def test_convergence_report_failing_tolerance():
     assert rep.rows[-1].abs_error > 0
 
 
-def test_fewnomial_check_examples():
-    zeros = search_zeros(TWO_TERM, 6.0).zeros
-    assert fewnomial_check(zeros, TWO_TERM.num_terms(), 1.0)
-    packed = [Zero(complex(0, 0.1), 1), Zero(complex(0.2, 0.1), 1)]
-    assert not fewnomial_check(packed, 2, 1.0)
-    assert fewnomial_check([], 2, 1.0)
-    assert not fewnomial_check([Zero(0j, 3)], 3, 1.0)
-    with pytest.raises(InputError):
-        fewnomial_check([], 2, 0.0)
+def test_fewnomial_check_examples(monkeypatch):
+    # the two boxes of TWO_TERM at R = 1 claim points 1e-3 apart: both lie
+    # in one window of height 0.999, where a two-term sum has one zero
+    step = iter(range(2))
+    monkeypatch.setattr(zerofind, "_newton_refine", lambda ws, box: 0.5j + 1e-3j * next(step))
+    with pytest.raises(NumericalError, match="window of height 0.999") as exc:
+        search_zeros(TWO_TERM, 1.0)
+    assert exc.value.partial == [Zero(0.5j, 1), Zero(0.5j + 1e-3j, 1)]
 
 
 def test_fewnomial_check_on_pipeline_outputs():
+    # the reference scan rejects packed sets, so its passes below say something
+    assert not fewnomial_check([Zero(0.1j, 1), Zero(0.2 + 0.1j, 1)], 2, 1.0)
+    assert not fewnomial_check([Zero(0j, 3)], 3, 1.0)
+    assert fewnomial_check([], 2, 1.0)
     for f, R in ((TWO_TERM, 5.0), (THREE_TERM, 4.5)):
         zeros = search_zeros(f, R).zeros
         span = float(f.freq_values()[-1] - f.freq_values()[0])
