@@ -21,14 +21,12 @@ from .laurent import (
     LaurentPolynomial,
     laurent_images,
     mean_via_substitution,
-    residue_end_coefficient,
     residue_formula_sum,
     roots_nonzero,
     sum_over_roots,
 )
 from .meanvalue import (
     MeanValueResult,
-    constant_term_A,
     mean_value,
     mean_zero_count,
     support_semigroup_generators,
@@ -82,12 +80,10 @@ __all__ = [
     "LaurentPolynomial",
     "laurent_images",
     "mean_via_substitution",
-    "residue_end_coefficient",
     "residue_formula_sum",
     "roots_nonzero",
     "sum_over_roots",
     "MeanValueResult",
-    "constant_term_A",
     "mean_value",
     "mean_zero_count",
     "support_semigroup_generators",

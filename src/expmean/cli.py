@@ -6,8 +6,8 @@ mean          exact mean value of g over the zeros of f
 density       mean number of zeros per unit height
 zeros         locate zeros in a horizontal strip numerically
 verify        compare the exact mean against strip averages over growing heights
-laurent-check rational frequencies only: cross-check the residue route,
-              the root sum of the image polynomial, and the mean-value bridge
+laurent-check rational frequencies only: series mean (residue = q*bridge)
+              vs root sums of the image polynomial
 
 Every command takes --input (required), --format json|csv and --timing;
 density and zeros add --R, and verify --R-list and --tol.  Any other flag
@@ -40,7 +40,7 @@ from typing import Any, Sequence
 
 from .errors import ExpmeanError, InputError, NumericalError
 from .exact import GaussianRational, as_fraction
-from .laurent import laurent_images, residue_formula_sum, sum_over_roots
+from .laurent import laurent_images, sum_over_roots
 from .meanvalue import mean_value, mean_zero_count
 from .sums import ExponentialSum, Frequency, FrequencyBasis, exp_sum, one_sum
 from .verify import convergence_report
@@ -339,13 +339,11 @@ def cmd_verify(problem: Problem, args: argparse.Namespace) -> dict:
 
 def cmd_laurent_check(problem: Problem, args: argparse.Namespace) -> dict:
     F, G, q = laurent_images(problem.f, problem.g)
-    if G.is_zero() or F.exponent_span() == 0:
-        residue = 0j
-        roots = 0j
-    else:
-        residue = residue_formula_sum(F, G)
-        roots = sum_over_roots(F, G)
+    # each root of F gives a column of zeros with density 1/q, so the
+    # series value A_n - A_1 on the image is q times the mean-value bridge
     bridge = mean_value(problem.f, problem.g).float_mean()
+    residue = q * bridge
+    roots = 0j if G.is_zero() or F.exponent_span() == 0 else sum_over_roots(F, G)
     return {
         "q": q,
         "residue_formula_sum": _c(residue),

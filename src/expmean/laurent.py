@@ -3,12 +3,12 @@
 For a Laurent polynomial f the sum of g over the zeros of f away from the
 origin equals A_n - A_1, where A_1 is the coefficient of 1/z in the series
 expansion of g*f'/f in ascending powers and A_n is the same coefficient in
-descending powers.  The module computes that difference two independent
-ways:
+descending powers.  The module computes that sum two independent ways:
 
-* through the same truncated-series engine the exponential case uses,
-  mapping z^k to exp(2*pi*k*z) (the exponential derivative carries the
-  factor of z that turns the 1/z coefficient into a constant term), and
+* through the series engine, as ``mean_value`` of the exponential images
+  under z = exp(2*pi*w): the exponential derivative carries the factor of z
+  that turns each 1/z coefficient into 1/(2*pi) times a constant term, so
+  A_n - A_1 is the images' mean value, and
 * by locating the roots numerically and adding up g's values.
 
 The root solve returns every root as often as its multiplicity, so the sum
@@ -20,14 +20,15 @@ correctness oracle for the series engine on commensurate frequencies.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InputError, NumericalError, ResourceLimitError
-from .meanvalue import constant_term_A
-from .sums import DEFAULT_BASIS, End, ExponentialSum, TWO_PI, exp_sum
+from .meanvalue import mean_value
+from .sums import DEFAULT_BASIS, ExponentialSum, exp_sum
 
 # np.roots builds a companion matrix of this order: at 1024 it takes about
 # 4 s on one core and 16 MB, and the cost grows with the cube of the degree
@@ -107,8 +108,11 @@ def roots_nonzero(p: LaurentPolynomial) -> list[complex]:
 def sum_over_roots(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
     """Sum of g's values, with multiplicity, over the non-zero roots of f."""
     total = 0j
-    for z in roots_nonzero(f):
-        total += g.evaluate(z)
+    try:
+        for z in roots_nonzero(f):
+            total += g.evaluate(z)
+    except OverflowError as exc:  # a power of a root beyond double range
+        raise NumericalError("root sum does not fit a double") from exc
     return total
 
 
@@ -116,32 +120,20 @@ def _exp_image(p: LaurentPolynomial) -> ExponentialSum:
     return exp_sum([(c, Fraction(k)) for k, c in p.terms.items()], DEFAULT_BASIS)
 
 
-def residue_end_coefficient(f: LaurentPolynomial, g: LaurentPolynomial, end: End) -> complex:
-    """Coefficient of 1/z in the series expansion of g*f'/f at one end.
-
-    Under z = exp(2*pi*w) the quantity z*f'(z) becomes the exponential
-    derivative scaled by 1/(2*pi), so the 1/z coefficient here is the
-    exponential engine's constant term divided by 2*pi.
-    """
+def residue_formula_sum(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
+    """A_n - A_1: the series-engine value of the sum of g over f's roots,
+    the mean value of g's exponential image over the zeros of f's."""
     if f.is_zero():
         raise InputError("series expansion requires a non-zero denominator")
     if g.is_zero():
         return 0j
-    F, G = _exp_image(f), _exp_image(g)
     try:
-        return constant_term_A(F, G, end) / TWO_PI
+        return mean_value(_exp_image(f), _exp_image(g)).mean
     except NumericalError as exc:
         # the float-mode advice of the series engine does not apply here
         raise NumericalError(
             "residue route overflowed: the Laurent routes run on double-precision images"
         ) from exc
-
-
-def residue_formula_sum(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
-    """A_n - A_1: the series-engine value of the sum of g over f's roots."""
-    a1 = residue_end_coefficient(f, g, End.FIRST)
-    an = residue_end_coefficient(f, g, End.LAST)
-    return an - a1
 
 
 def laurent_images(
@@ -150,13 +142,16 @@ def laurent_images(
     """(F, G, q): the polynomials under w = exp(2*pi*z/q).
 
     q is the least common denominator of every frequency, so each exponent
-    q*a is an integer.  Requires the default rational basis.
+    q*a is an integer; a q beyond double range is an InputError.  Requires
+    the default rational basis.
     """
     if not f.basis.is_default() or not g.basis.is_default():
         raise InputError("substitution requires the default rational basis")
     if f.is_zero():
         raise InputError("mean value requires a non-zero denominator sum")
     q = math.lcm(*(v.denominator for v in f.freq_values() + g.freq_values()))
+    if q > sys.float_info.max:
+        raise InputError("the common denominator of the frequencies is beyond double range")
 
     def to_laurent(s: ExponentialSum) -> LaurentPolynomial:
         s = s.to_float_mode()

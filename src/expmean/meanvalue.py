@@ -245,12 +245,6 @@ def _to_complex_A(coords: tuple[GaussianRational, ...], basis: FrequencyBasis) -
     return acc
 
 
-def constant_term_A(f: ExponentialSum, g: ExponentialSum, end: End) -> complex:
-    """A at the lowest (FIRST) or highest (LAST) frequency end of f."""
-    a = _a_value(f, g, end)
-    return _to_complex_A(a, f.basis) if f.exact else a
-
-
 def support_semigroup_generators(
     f: ExponentialSum,
 ) -> tuple[list[Frequency], list[Frequency]]:

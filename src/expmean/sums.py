@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -37,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .exact import GR_ONE, GR_ZERO, GaussianRational, as_fraction
 
 TWO_PI = 2.0 * math.pi
@@ -263,10 +264,13 @@ class ExponentialSum:
         return scales.tolist(), [(max(col), set(col)) for col in powers.T.tolist()], factors
 
     def to_float_mode(self) -> "ExponentialSum":
-        """Same sum with complex-float coefficients."""
+        """Same sum with complex-float coefficients; NumericalError if one overflows."""
         if not self.exact:
             return self
-        raw = [ExpTerm(t.coeff.to_complex(), t.freq) for t in self.terms]
+        try:
+            raw = [ExpTerm(t.coeff.to_complex(), t.freq) for t in self.terms]
+        except OverflowError as exc:
+            raise NumericalError("exact coefficient does not fit a double") from exc
         return normalize(raw, self.basis, exact=False)
 
     def __add__(self, other: "ExponentialSum") -> "ExponentialSum":
@@ -336,10 +340,12 @@ def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> 
 
     ``freq`` may be an int, a 'p/q' string, a Fraction, a coordinate
     sequence, or a Frequency.  Coefficients are coerced into the requested
-    mode.
+    mode.  A frequency whose value is beyond double range is an InputError.
     """
     basis = basis or DEFAULT_BASIS
     raw = [ExpTerm(_coerce_coeff(c, exact), Frequency.of(f, len(basis))) for c, f in pairs]
+    if any(abs(basis.value_key(t.freq)) > sys.float_info.max for t in raw):
+        raise InputError("a frequency is beyond double range")
     return normalize(raw, basis, exact)
 
 

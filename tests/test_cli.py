@@ -1,6 +1,8 @@
 """Tests for the command line front end."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
@@ -10,6 +12,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmean.cli import (
     _COMMANDS,
@@ -269,14 +273,33 @@ def test_verify_verdict_reads_no_rounding_noise(capsys, monkeypatch):
     assert res["verdict"] == "pass"
 
 
-def test_laurent_check_agreement(problem_file, capsys):
-    path = problem_file(QUADRATIC_DOC)
+# f = 2 - 3e(1/2) + e(1) has the image 2 - 3w + w^2 under w = e(z/2), with
+# roots 1 and 2, and each root gives zeros of density 1/2
+HALF_STEP_DOC = {
+    "f": [
+        {"coeff": [2, 0], "freq": "0"},
+        {"coeff": [-3, 0], "freq": "1/2"},
+        {"coeff": [1, 0], "freq": "1"},
+    ],
+    "g": [{"coeff": [1, 0], "freq": "1/2"}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, q, residue, bridge, roots",
+    [(QUADRATIC_DOC, 1, 5.0, 5.0, 5.0), (HALF_STEP_DOC, 2, 3.0, 1.5, 3.0)],
+    ids=["q1", "q2"],
+)
+def test_laurent_check_agreement(problem_file, capsys, doc, q, residue, bridge, roots):
+    path = problem_file(doc)
     env = run_json(["laurent-check", "--input", path], capsys)
     res = env["results"]
-    assert res["q"] == 1
+    assert res["q"] == q
     assert res["residue_vs_roots"] < 1e-8
     assert res["bridge_vs_roots"] < 1e-9
-    assert abs(res["mean_value_bridge"][0] - 5.0) < 1e-12
+    assert abs(res["residue_formula_sum"][0] - residue) < 1e-12
+    assert abs(res["mean_value_bridge"][0] - bridge) < 1e-12
+    assert abs(res["sum_over_roots"][0] - roots) < 1e-9
 
 
 def test_laurent_check_degree_budget(problem_file, capsys):
@@ -513,12 +536,90 @@ def test_mean_beyond_double_range_exit_code(problem_file, capsys, mode):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exact mean value does not fit a double" in captured.err
-    # the Laurent routes run on double-precision images in either mode
     assert run(["laurent-check", "--input", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "double-precision images" in captured.err
+    assert "exact mean value does not fit a double" in captured.err
     assert "use exact mode" not in captured.err
+
+
+_COMMAND_FLAGS = {
+    "mean": [],
+    "density": ["--R", "1"],
+    "zeros": ["--R", "1"],
+    "verify": ["--R-list", "1,2"],
+    "laurent-check": [],
+}
+_ONE_TERM = {"coeff": [1, 0], "freq": "1"}
+
+# (problem, commands, exit code, stderr fragment) for values no double holds
+_BEYOND_DOUBLE = {
+    # every command reads the frequencies as doubles
+    "frequency": (
+        {"f": [{"coeff": [1, 0], "freq": "1e400"}, _ONE_TERM]},
+        list(_COMMAND_FLAGS), 2, "frequency is beyond double range",
+    ),
+    # exact mean runs without doubles; the other commands convert f to float mode
+    "exact-coeff": (
+        {"mode": "exact", "f": [{"coeff": ["1e400", 0], "freq": "0"}, _ONE_TERM]},
+        ["density", "zeros", "verify", "laurent-check"], 3, "coefficient does not fit a double",
+    ),
+    # q = 10**320, so neither roots / q nor q * bridge can be formed
+    "denominator": (
+        {"f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1e-320"}]},
+        ["laurent-check"], 2, "common denominator of the frequencies is beyond double range",
+    ),
+    # the exact mean is 0, but g = e(2001) at the image's roots +-2 is 2**2001
+    "root-sum": (
+        {
+            "mode": "exact",
+            "f": [{"coeff": [-4, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "2"}],
+            "g": [{"coeff": [1, 0], "freq": "2001"}],
+        },
+        ["laurent-check"], 3, "root sum does not fit a double",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, c) for case, (_, commands, _, _) in _BEYOND_DOUBLE.items() for c in commands],
+)
+def test_values_beyond_double_range_exit_code(problem_file, capsys, case, command):
+    doc, _, code, message = _BEYOND_DOUBLE[case]
+    assert run([command, "--input", problem_file(doc)] + _COMMAND_FLAGS[command]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+# each value serves as a coefficient part and as a frequency (5e-324 as its
+# repr, the only float a frequency string can be)
+_EXTREMES = ["1e400", "1e-400", 5e-324, 10**400, "1e-320", "1/1000003", 40, -40, 0, 1]
+_EXTREME_TERMS = st.tuples(st.sampled_from(_EXTREMES), st.sampled_from(_EXTREMES))
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(["float", "exact"]),
+    st.sampled_from(["mean", "laurent-check"]),
+    st.lists(_EXTREME_TERMS, min_size=1, max_size=3),
+    st.lists(_EXTREME_TERMS, max_size=2),
+)
+def test_exit_code_contract_on_extreme_values(tmp_path_factory, mode, command, f_terms, g_terms):
+    # every input exits 0, 2 or 3; none raises out of run
+    def terms(pairs):
+        return [{"coeff": [c, 0], "freq": q if isinstance(q, (int, str)) else repr(q)}
+                for c, q in pairs]
+
+    path = tmp_path_factory.getbasetemp() / "extreme.json"
+    path.write_text(json.dumps({"mode": mode, "f": terms(f_terms), "g": terms(g_terms)}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run([command, "--input", str(path)])
+        except Exception as exc:  # a value: pytest's report of an escaped one grew past 4 GB
+            code = repr(exc)
+    assert code in (0, 2, 3)
 
 
 def test_numerical_failure_reports_partial_zeros(problem_file, capsys, monkeypatch):

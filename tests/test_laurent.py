@@ -11,13 +11,12 @@ from expmean.errors import InputError, NumericalError, ResourceLimitError
 from expmean.laurent import (
     LaurentPolynomial,
     mean_via_substitution,
-    residue_end_coefficient,
     residue_formula_sum,
     roots_nonzero,
     sum_over_roots,
 )
 from expmean.meanvalue import mean_value
-from expmean.sums import End, FrequencyBasis, exp_sum
+from expmean.sums import FrequencyBasis, exp_sum
 
 SQRT2 = "1.41421356237309504880168872421"
 
@@ -109,11 +108,20 @@ def test_sum_over_roots_examples():
     assert abs(sum_over_roots(f2, LaurentPolynomial({-1: 1})) - 1) < 1e-12
 
 
+def test_root_sum_beyond_double_range_is_numerical_error():
+    # g = z**2000 at the roots +-2 of f is 2**2000
+    with pytest.raises(NumericalError):
+        sum_over_roots(LaurentPolynomial({0: -4, 2: 1}), LaurentPolynomial({2000: 1}))
+    with pytest.raises(NumericalError):
+        mean_via_substitution(exp_sum([(-4, 0), (1, 2)]), exp_sum([(1, 2000)]))
+
+
 def test_residue_end_coefficients_quadratic():
     f = LaurentPolynomial({0: 2, 1: -3, 2: 1})
     g = LaurentPolynomial({1: 1})
-    a1 = residue_end_coefficient(f, g, End.FIRST)
-    an = residue_end_coefficient(f, g, End.LAST)
+    # each end's 1/z coefficient is the images' constant term over 2*pi
+    res = mean_value(exp_sum([(2, 0), (-3, 1), (1, 2)]), exp_sum([(1, 1)]))
+    a1, an = res.A_first / (2 * math.pi), res.A_last / (2 * math.pi)
     assert abs(a1) < 1e-12
     assert abs(an - 3) < 1e-12
     assert abs(residue_formula_sum(f, g) - 3) < 1e-12

@@ -16,7 +16,6 @@ from expmean.meanvalue import (
     MeanValueResult,
     _a_value,
     _edge_quotients,
-    constant_term_A,
     mean_value,
     mean_zero_count,
     support_semigroup_generators,
@@ -212,8 +211,8 @@ def test_constant_term_two_term_hand_values():
     a1, an = result.A_first_exact, result.A_last_exact
     assert a1 == (GaussianRational.of(1),)  # exactly 2*pi
     assert an == (GR_ZERO,)
-    assert abs(constant_term_A(f, g, End.FIRST) - 2 * math.pi) < 1e-15
-    assert constant_term_A(f, g, End.LAST) == 0
+    assert abs(result.A_first - 2 * math.pi) < 1e-15
+    assert result.A_last == 0
 
 
 def test_constant_term_g_one_is_extreme_frequency():
@@ -252,7 +251,7 @@ def test_constant_term_cutoff_independence():
 
 def test_constant_term_zero_f_raises():
     with pytest.raises(InputError):
-        constant_term_A(exp_sum([]), one_sum(), End.FIRST)
+        mean_value(exp_sum([]), one_sum())
 
 
 # ----------------------------------------------------------------- mean value

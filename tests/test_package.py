@@ -9,8 +9,9 @@ import expmean
 SRC = Path(expmean.__file__).parent
 
 # wrappers that repeated another public path, the search's retired settings
-# class, the retired exact coefficient ring, and helpers that only tests
-# read (semigroup membership, the window scan, two aliases), all gone from
+# class, the retired exact coefficient ring, helpers that only tests read
+# (semigroup membership, the window scan, two aliases) and the per-end
+# constant terms that mean_value's A_first and A_last give, all gone from
 # the public surface
 RETIRED = (
     "winding_count",
@@ -24,6 +25,8 @@ RETIRED = (
     "fewnomial_check",
     "zero_sum",
     "laurent",
+    "residue_end_coefficient",
+    "constant_term_A",
 )
 
 
