@@ -17,8 +17,10 @@ Problem files are JSON objects with keys ``f``, ``g`` (optional, default the
 constant 1), ``basis`` (optional, default ``["1"]``) and ``mode`` (optional,
 ``"float"`` or ``"exact"``, default ``"float"``).  Each term is an object
 ``{"coeff": [re, im], "freq": ...}`` where a frequency is a rational string
-such as ``"3/2"`` or a vector of rational strings matching the basis length.
-In exact mode the coefficient parts must be integers or rational strings.
+such as ``"3/2"``, an integer, or a list of them matching the basis length.
+This module checks only that JSON shape; ``exp_sum`` and ``FrequencyBasis``
+read every value, and an error names the sum and the term.  In exact mode a
+float coefficient part must be integral; a boolean is never a number.
 
 Reports are JSON envelopes with sorted keys and floats printed to 17
 significant digits, so a given input always produces identical bytes.
@@ -35,11 +37,10 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import ExpmeanError, InputError, NumericalError
-from .exact import GaussianRational, as_fraction
+from .exact import GaussianRational
 from .laurent import laurent_images, sum_over_roots
 from .meanvalue import mean_value, mean_zero_count
 from .sums import ExponentialSum, Frequency, FrequencyBasis, exp_sum, one_sum
@@ -57,51 +58,25 @@ VERSION = "0.1.0"
 class Problem:
     f: ExponentialSum
     g: ExponentialSum
-    basis: FrequencyBasis
-    exact: bool
 
 
-def _parse_part(raw: Any, exact: bool, where: str) -> Fraction | float | int | str:
-    """One coefficient part: a Fraction in exact mode, else the checked raw value for exp_sum."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise InputError(f"{where}: expected a number or rational string")
-    try:
-        # Fraction(float) is exact and rejects NaN and infinities
-        value = Fraction(raw) if isinstance(raw, float) else as_fraction(raw)
-        if not exact:
-            return raw
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"{where}: need a finite number or rational string, got {raw!r}") from exc
-    if isinstance(raw, float) and value.denominator != 1:
-        raise InputError(f"{where}: exact mode takes integers or rational strings, not {raw!r}")
-    return value
-
-
-def _parse_term(item: Any, basis: FrequencyBasis, exact: bool, where: str):
-    """A ``(coeff, freq)`` pair in the form ``exp_sum`` takes."""
+def _parse_term(item: Any, where: str) -> tuple:
+    """A raw ``(coeff, freq)`` pair; ``exp_sum`` reads and checks the values."""
     if not isinstance(item, dict) or set(item) != {"coeff", "freq"}:
         raise InputError(f"{where}: terms are objects with coeff and freq")
-    coeff, freq = item["coeff"], item["freq"]
-    if not isinstance(coeff, list) or len(coeff) != 2:
+    if not isinstance(item["coeff"], list) or len(item["coeff"]) != 2:
         raise InputError(f"{where}: coeff must be a [re, im] pair")
-    re, im = (_parse_part(part, exact, where) for part in coeff)
-    if isinstance(freq, bool) or not isinstance(freq, (str, int, list)):
-        raise InputError(f"{where}: a frequency is a rational string, an integer or a list")
-    n = len(basis)
-    if isinstance(freq, list) and len(freq) != n:
-        raise InputError(f"{where}: frequency vector has {len(freq)} entries, basis has {n}")
-    try:
-        freq = Frequency.of(freq, n)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: bad frequency {freq!r}") from exc
-    return (GaussianRational(re, im) if exact else (re, im)), freq
+    return tuple(item["coeff"]), item["freq"]
 
 
 def _parse_sum(raw: Any, basis: FrequencyBasis, exact: bool, name: str) -> ExponentialSum:
     if not isinstance(raw, list):
         raise InputError(f"{name} must be a list of terms")
-    pairs = [_parse_term(item, basis, exact, f"{name}[{i}]") for i, item in enumerate(raw)]
-    return exp_sum(pairs, basis=basis, exact=exact)
+    pairs = [_parse_term(item, f"{name}[{i}]") for i, item in enumerate(raw)]
+    try:
+        return exp_sum(pairs, basis=basis, exact=exact)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from exc
 
 
 def parse_problem(data: Any) -> Problem:
@@ -114,10 +89,7 @@ def parse_problem(data: Any) -> Problem:
     # FrequencyBasis rejects an empty list and non-decimal or non-positive values
     if not isinstance(raw_basis, list) or not all(isinstance(b, str) for b in raw_basis):
         raise InputError("basis must be a non-empty list of decimal strings")
-    try:
-        basis = FrequencyBasis(tuple(raw_basis))
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(f"bad basis: {exc}") from exc
+    basis = FrequencyBasis(tuple(raw_basis))
     mode = data.get("mode", "float")
     if mode not in ("float", "exact"):
         raise InputError('mode must be "exact" or "float"')
@@ -129,7 +101,7 @@ def parse_problem(data: Any) -> Problem:
         g = _parse_sum(data["g"], basis, exact, "g")
     else:
         g = one_sum(basis=basis, exact=exact)
-    return Problem(f=f, g=g, basis=basis, exact=exact)
+    return Problem(f=f, g=g)
 
 
 def _coeff_to_json(coeff: Any, exact: bool) -> list:
@@ -150,15 +122,15 @@ def problem_to_dict(problem: Problem) -> dict:
     def render(s: ExponentialSum) -> list:
         return [
             {
-                "coeff": _coeff_to_json(t.coeff, problem.exact),
-                "freq": _freq_to_json(t.freq, problem.basis),
+                "coeff": _coeff_to_json(t.coeff, s.exact),
+                "freq": _freq_to_json(t.freq, s.basis),
             }
             for t in s.terms
         ]
 
     return {
-        "basis": list(problem.basis.values),
-        "mode": "exact" if problem.exact else "float",
+        "basis": list(problem.f.basis.values),
+        "mode": "exact" if problem.f.exact else "float",
         "f": render(problem.f),
         "g": render(problem.g),
     }
@@ -269,8 +241,8 @@ def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
         "A_first": _c(res.A_first),
         "A_last": _c(res.A_last),
         "M": _c(res.mean),
-        "neg_generators": _generators_json(res.neg_generators, problem.basis),
-        "pos_generators": _generators_json(res.pos_generators, problem.basis),
+        "neg_generators": _generators_json(res.neg_generators, problem.f.basis),
+        "pos_generators": _generators_json(res.pos_generators, problem.f.basis),
         "mean_exact": _exact_vector_json(res.mean_exact),
     }
 
@@ -281,7 +253,7 @@ def cmd_density(problem: Problem, args: argparse.Namespace) -> dict:
     span = f.terms[-1].freq - f.terms[0].freq
     out: dict[str, Any] = {
         "density": density,
-        "span": _freq_to_json(span, problem.basis),
+        "span": _freq_to_json(span, f.basis),
     }
     if args.R is not None:
         found = search_zeros(f, args.R)

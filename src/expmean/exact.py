@@ -20,10 +20,10 @@ RationalLike = Union[int, str, Fraction]
 
 
 def as_fraction(x) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or 'p/q' string."""
+    """Parse an exact rational from an int, Fraction, or 'p/q' string; not a bool."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

@@ -197,42 +197,37 @@ def truncated_reciprocal(
     return TruncatedSeries(ExponentialSum(terms, basis, ftilde.exact))
 
 
-def _edge_quotients(f: ExponentialSum, g: ExponentialSum, end: End) -> list[ExponentialSum]:
-    """[g * f' / (extreme term of f)] in float mode; in exact mode
-    g * D_j f / (extreme term of f) for each basis coordinate j."""
-    ext = extreme_term(f, end)
-    inv = (GR_ONE if f.exact else 1.0) / ext.coeff
-    inv_sum = ExponentialSum((ExpTerm(inv, -ext.freq),), f.basis, f.exact)
+def _derivative_products(f: ExponentialSum, g: ExponentialSum) -> list[ExponentialSum]:
+    """[g * f'] in float mode; g * D_j f for each basis coordinate j in exact mode."""
     if not f.exact:
-        return [multiply(multiply(g, derivative(f)), inv_sum)]
+        return [multiply(g, derivative(f))]
     # terms of value 0 vanish from f', as in derivative
     moving = [t for t in f.terms if f.basis.value_key(t.freq) != 0]
-    quotients = []
-    for j in range(len(f.basis)):
-        d_j = [ExpTerm(t.coeff * GaussianRational(t.freq.coords[j], Fraction(0)), t.freq)
-               for t in moving]
-        quotients.append(multiply(multiply(g, normalize(d_j, f.basis, exact=True)), inv_sum))
-    return quotients
+    scaled = [[ExpTerm(t.coeff * GaussianRational(t.freq.coords[j], Fraction(0)), t.freq)
+               for t in moving] for j in range(len(f.basis))]
+    return [multiply(g, normalize(d_j, f.basis, exact=True)) for d_j in scaled]
 
 
-def _a_value(f: ExponentialSum, g: ExponentialSum, end: End):
-    """Constant term A at the chosen end: a complex in float mode, the
-    coordinates (A_j) with A = 2*pi * sum_j A_j * basis[j] in exact mode."""
-    if f.is_zero():
-        raise InputError("mean-value computation requires a non-zero denominator sum")
-    quotients = _edge_quotients(f, g, end)
+def _a_value(f: ExponentialSum, products: list[ExponentialSum], end: End):
+    """Constant term A at the chosen end from _derivative_products: a complex in
+    float mode, the coordinates (A_j) with A = 2*pi * sum_j A_j * basis[j] in exact mode."""
+    ext = extreme_term(f, end)
+    inv = (GR_ONE if f.exact else 1.0) / ext.coeff
     zero = GR_ZERO if f.exact else 0j
-    values = [f.basis.value_key(t.freq) for p in quotients for t in p.terms]
-    coords = [zero] * len(quotients)
+    # each product over the extreme term, as (coefficient, frequency) pairs
+    quotients = [[(c, t.freq - ext.freq) for t in p.terms if (c := t.coeff * inv) != zero]
+                 for p in products]
+    values = [f.basis.value_key(q) for p in quotients for _, q in p]
+    coords = [zero] * len(products)
     if values:
         cut = max(Fraction(0), -min(values) if end is End.FIRST else max(values))
         series = truncated_reciprocal(divide_by_extreme_term(f, end), end, cut)
         series_at = {t.freq.coords: t.coeff for t in series.sum.terms}
         for j, p in enumerate(quotients):
-            for t in p.terms:
-                mate = series_at.get((-t.freq).coords)
+            for c, q in p:
+                mate = series_at.get((-q).coords)
                 if mate is not None:
-                    coords[j] = coords[j] + t.coeff * mate
+                    coords[j] = coords[j] + c * mate
     return tuple(coords) if f.exact else coords[0]
 
 
@@ -270,8 +265,11 @@ def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:
 
     Exact mode leaves A_first, A_last and mean None where they overflow a double.
     """
-    a_first = _a_value(f, g, End.FIRST)
-    a_last = _a_value(f, g, End.LAST)
+    if f.is_zero():
+        raise InputError("mean-value computation requires a non-zero denominator sum")
+    products = _derivative_products(f, g)
+    a_first = _a_value(f, products, End.FIRST)
+    a_last = _a_value(f, products, End.LAST)
     neg, pos = support_semigroup_generators(f)
     exact_extras = {}
     if f.exact:

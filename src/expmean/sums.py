@@ -69,19 +69,19 @@ class FrequencyBasis:
     def __init__(self, values: Sequence[str] = ("1",)):
         if len(values) == 0:
             raise InputError("frequency basis must be non-empty")
-        fracs = []
+        fracs, floats = [], []
         for s in values:
             try:
-                d = Decimal(str(s))
-            except InvalidOperation:
-                raise InputError(f"basis value is not a decimal string: {s!r}") from None
-            f = Fraction(d)
+                f = Fraction(Decimal(str(s)))  # NaN and Infinity raise here
+                floats.append(float(f))  # and here a value beyond double range
+            except (InvalidOperation, ValueError, OverflowError):
+                raise InputError(f"basis value {s!r} is not a decimal in double range") from None
             if f <= 0:
                 raise InputError(f"basis values must be positive, got {s!r}")
             fracs.append(f)
         self.values: tuple[str, ...] = tuple(str(s) for s in values)
         self.fraction_values: tuple[Fraction, ...] = tuple(fracs)
-        self.float_values: tuple[float, ...] = tuple(float(f) for f in fracs)
+        self.float_values: tuple[float, ...] = tuple(floats)
         self._key_cache: dict[tuple[Fraction, ...], Fraction] = {}
 
     def __len__(self) -> int:
@@ -124,17 +124,16 @@ class Frequency:
 
     @staticmethod
     def of(raw, basis_len: int = 1) -> "Frequency":
-        """Build from a rational-like scalar or a sequence of them."""
+        """Build from a rational-like scalar or a list or tuple of them."""
         if isinstance(raw, Frequency):
             return raw
-        if isinstance(raw, (int, str, Fraction)):
-            coords = [Fraction(0)] * basis_len
-            coords[0] = as_fraction(raw)
-            return Frequency(tuple(coords))
-        try:
+        if isinstance(raw, (list, tuple)):
             return Frequency(tuple(as_fraction(c) for c in raw))
-        except TypeError:  # neither a rational-like scalar nor a sequence
-            raise InputError(f"not an exact frequency: {raw!r}") from None
+        if not isinstance(raw, (int, str, Fraction)):
+            raise InputError(f"not an exact frequency: {raw!r}")
+        coords = [Fraction(0)] * basis_len
+        coords[0] = as_fraction(raw)  # rejects a bool
+        return Frequency(tuple(coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -165,36 +164,37 @@ def _coeff_is_exact(c) -> bool:
 
 
 def _coerce_coeff(c, exact: bool) -> Coeff:
-    """Normalize assorted coefficient inputs into the active mode's type."""
+    """Read a coefficient -- a GaussianRational, a complex, an (re, im) pair
+    or a lone real -- into the active mode's type."""
+    if isinstance(c, GaussianRational):
+        parts = (c.re, c.im)
+    elif isinstance(c, complex):
+        parts = (c.real, c.imag)
+    else:
+        parts = c if isinstance(c, tuple) and len(c) == 2 else (c, 0)
+    re, im = (_read_part(p, exact) for p in parts)
     if exact:
-        if isinstance(c, GaussianRational):
-            return c
-        if isinstance(c, (int, str, Fraction)):
-            return GaussianRational.of(c)
-        if isinstance(c, tuple) and len(c) == 2:
-            return GaussianRational.of(c[0], c[1])
-        raise InputError(f"not an exact coefficient: {c!r}")
+        return GaussianRational(re, im)
     try:
-        if isinstance(c, GaussianRational):
-            z = c.to_complex()
-        elif isinstance(c, tuple) and len(c) == 2:
-            z = complex(_float_part(c[0]), _float_part(c[1]))
-        elif isinstance(c, (str, Fraction)):
-            z = complex(_float_part(c))
-        else:
-            z = complex(c)
+        z = complex(float(re), float(im))
     except OverflowError as exc:
         raise InputError(f"coefficient {c!r} is beyond double range") from exc
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InputError(f"coefficient {c!r} is not finite")
-    parts = (c.re, c.im) if isinstance(c, GaussianRational) else c if isinstance(c, tuple) else (c,)
-    if z == 0 and any((as_fraction(p) if isinstance(p, str) else p) != 0 for p in parts):
+    if z == 0 and (re != 0 or im != 0):
         raise InputError(f"coefficient {c!r} is below double range")
     return z
 
 
-def _float_part(x) -> float:
-    return float(as_fraction(x)) if isinstance(x, (str, Fraction)) else float(x)
+def _read_part(x, exact: bool) -> Fraction | float:
+    """One coefficient part: a float must be finite, and in exact mode
+    integral; anything else goes through as_fraction.  A float-mode float
+    passes unchanged, so -0.0 keeps its sign."""
+    if not isinstance(x, float):
+        return as_fraction(x)
+    if not math.isfinite(x):
+        raise InputError(f"coefficient part {x!r} is not finite")
+    if exact and not x.is_integer():
+        raise InputError(f"exact mode takes integers or rational strings, not {x!r}")
+    return Fraction(x) if exact else x
 
 
 def _coeff_zero(c) -> bool:
@@ -264,12 +264,12 @@ class ExponentialSum:
         return scales.tolist(), [(max(col), set(col)) for col in powers.T.tolist()], factors
 
     def to_float_mode(self) -> "ExponentialSum":
-        """Same sum with complex-float coefficients; NumericalError if one overflows."""
+        """Same sum with complex-float coefficients; NumericalError if one does not fit a double."""
         if not self.exact:
             return self
         try:
-            raw = [ExpTerm(t.coeff.to_complex(), t.freq) for t in self.terms]
-        except OverflowError as exc:
+            raw = [ExpTerm(_coerce_coeff(t.coeff, False), t.freq) for t in self.terms]
+        except InputError as exc:
             raise NumericalError("exact coefficient does not fit a double") from exc
         return normalize(raw, self.basis, exact=False)
 
@@ -339,11 +339,17 @@ def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> 
     """Convenience builder from ``[(coeff, freq), ...]`` pairs.
 
     ``freq`` may be an int, a 'p/q' string, a Fraction, a coordinate
-    sequence, or a Frequency.  Coefficients are coerced into the requested
-    mode.  A frequency whose value is beyond double range is an InputError.
+    list or tuple, or a Frequency.  Coefficients are read into the requested
+    mode (see _coerce_coeff).  A frequency whose value is beyond double range
+    is an InputError; an error in one term names its index.
     """
     basis = basis or DEFAULT_BASIS
-    raw = [ExpTerm(_coerce_coeff(c, exact), Frequency.of(f, len(basis))) for c, f in pairs]
+    raw = []
+    for i, (c, f) in enumerate(pairs):
+        try:
+            raw.append(ExpTerm(_coerce_coeff(c, exact), Frequency.of(f, len(basis))))
+        except InputError as exc:
+            raise InputError(f"term {i}: {exc}") from exc
     if any(abs(basis.value_key(t.freq)) > sys.float_info.max for t in raw):
         raise InputError("a frequency is beyond double range")
     return normalize(raw, basis, exact)

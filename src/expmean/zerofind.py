@@ -155,8 +155,8 @@ def strip_bound(f: ExponentialSum) -> float:
         hi = 1.0
         while tail(hi) > _STRIP_MARGIN:
             hi *= 2.0
-            if hi > 1e9:
-                raise NumericalError("strip bound bisection failed to bracket")
+            if math.isinf(2 * math.pi * hi):
+                raise NumericalError("strip bound is beyond double range")
         lo = 0.0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)

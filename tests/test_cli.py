@@ -26,6 +26,7 @@ from expmean.cli import (
     run,
 )
 from expmean.errors import InputError, NumericalError
+from expmean.sums import FrequencyBasis, exp_sum
 from expmean.zerofind import Zero
 
 SQRT2 = "1.41421356237309504880168872421"
@@ -81,8 +82,8 @@ def run_json(argv, capsys):
 
 def test_parse_problem_defaults():
     p = parse_problem({"f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [2.5, 0], "freq": "1"}]})
-    assert not p.exact
-    assert p.basis.is_default()
+    assert not p.f.exact
+    assert p.f.basis.is_default()
     assert p.g.num_terms() == 1
     assert p.g.terms[0].coeff == 1.0 + 0j
     assert p.g.terms[0].freq.is_zero()
@@ -131,7 +132,7 @@ def test_parse_problem_exact_mode_coefficients():
         ],
     }
     p = parse_problem(doc)
-    assert p.exact
+    assert p.f.exact
     assert problem_to_dict(p)["f"][0]["coeff"] == ["1/3", "-2"]
     # non-integral float literals are lossy in exact mode
     with pytest.raises(InputError):
@@ -139,6 +140,31 @@ def test_parse_problem_exact_mode_coefficients():
     # integral-valued floats are fine
     p2 = parse_problem({"mode": "exact", "f": [{"coeff": [2.0, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1"}]})
     assert problem_to_dict(p2)["f"][0]["coeff"] == ["2", "0"]
+
+
+def test_parse_problem_rejects_booleans_and_non_list_frequencies():
+    one = {"coeff": [1, 0], "freq": "0"}
+    for freq in ([True], {"1": 0}):
+        with pytest.raises(InputError, match="f: term 1: "):
+            parse_problem({"f": [one, {"coeff": [1, 0], "freq": freq}]})
+    with pytest.raises(InputError, match="g: term 0: "):
+        parse_problem({"mode": "exact", "f": [one], "g": [{"coeff": [False, 0], "freq": "0"}]})
+
+
+@pytest.mark.parametrize("value", ["NaN", "-Infinity", "Infinity", "1e400"])
+def test_non_finite_basis_exits_2(problem_file, capsys, value):
+    doc = {"basis": [value], "f": [{"coeff": [1, 0], "freq": ["0"]}, {"coeff": [1, 0], "freq": ["1"]}]}
+    assert run(["mean", "--input", problem_file(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "basis value" in captured.err
+
+
+def test_negative_zero_keeps_its_sign_in_the_echo(problem_file, capsys):
+    doc = {"f": [{"coeff": [1, -0.0], "freq": "0"}, {"coeff": [-0.0, 2], "freq": "1"}]}
+    assert run(["density", "--input", problem_file(doc)]) == 0
+    out = capsys.readouterr().out
+    assert '"coeff": [1.0, -0.0]' in out and '"coeff": [-0.0, 2.0]' in out
 
 
 def test_exact_mode_empty_g_is_the_exact_zero_sum(problem_file, capsys):
@@ -445,7 +471,8 @@ def test_readme_flag_table_matches_the_parser():
 
 @pytest.mark.parametrize(
     "mode, tiny",
-    # a float-mode denormal, and an exact part whose double image underflows to zero
+    # a float-mode denormal reaches strip_bound; an exact part whose double image
+    # underflows to zero stops earlier, where the sum is converted to doubles
     [("float", 1e-320), ("exact", "1e-400")],
 )
 def test_tiny_coefficient_reports_coefficient_scale(problem_file, capsys, mode, tiny):
@@ -457,7 +484,8 @@ def test_tiny_coefficient_reports_coefficient_scale(problem_file, capsys, mode, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["zeros", "--input", path, "--R", "2"]) == 3
-    assert "coefficient scale" in capsys.readouterr().err
+    expected = "coefficient scale" if mode == "float" else "does not fit a double"
+    assert expected in capsys.readouterr().err
 
 
 def test_float_coefficient_below_double_range_is_input_error(problem_file, capsys):
@@ -564,6 +592,16 @@ _BEYOND_DOUBLE = {
         {"mode": "exact", "f": [{"coeff": ["1e400", 0], "freq": "0"}, _ONE_TERM]},
         ["density", "zeros", "verify", "laurent-check"], 3, "coefficient does not fit a double",
     ),
+    # a nonzero exact coefficient whose double is 0 would vanish from f
+    "tiny-exact-coeff": (
+        {"mode": "exact", "f": [{"coeff": ["1e-400", 0], "freq": "0"}, _ONE_TERM]},
+        ["density", "zeros", "verify", "laurent-check"], 3, "coefficient does not fit a double",
+    ),
+    # the strip bound log 2 / (2 pi 1e-320) is past the largest double
+    "strip-bound": (
+        {"f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1e-320"}]},
+        ["density", "zeros"], 3, "strip bound is beyond double range",
+    ),
     # q = 10**320, so neither roots / q nor q * bridge can be formed
     "denominator": (
         {"f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1e-320"}]},
@@ -591,6 +629,63 @@ def test_values_beyond_double_range_exit_code(problem_file, capsys, case, comman
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_exact_coefficient_below_double_range_keeps_the_exact_mean(problem_file, capsys):
+    # f = 1e-400 + e(z): the mean of g = 1 is the density 1, with no double in between
+    doc = _BEYOND_DOUBLE["tiny-exact-coeff"][0]
+    results = run_json(["mean", "--input", problem_file(doc)], capsys)["results"]
+    assert results["mean_exact"] == [["1", "0"]]
+    assert results["M"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("eps", ["1e-12", "1e-300"])
+def test_zeros_with_a_strip_bound_near_double_range(problem_file, capsys, eps):
+    # f = 1 + e(eps z) has its zeros at Im z = (2k + 1) / (2 eps), none within R = 1
+    doc = {"f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": eps}]}
+    results = run_json(["zeros", "--input", problem_file(doc), "--R", "1"], capsys)["results"]
+    assert results["count"] == 0
+    assert results["strip_bound"] == pytest.approx(math.log(2) / (2 * math.pi * float(eps)))
+
+
+# JSON-like values, and the few non-JSON ones a library caller may pass
+_ODD_VALUES = st.one_of(
+    st.sampled_from([True, False, None, float("nan"), float("inf"), -float("inf"), -0.0,
+                     10**400, "1e-400", "1/0", "NaN", "Infinity", 2.0, 0.5, 1e300, 5e-324,
+                     complex(1, 2), complex(0.5, 0), "", "x", "3/4"]),
+    st.integers(), st.floats(), st.complex_numbers(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=300)
+@given(st.booleans(), _ODD_VALUES, _ODD_VALUES)
+def test_every_value_builds_or_is_an_input_error(exact, value, other):
+    one = {"coeff": [1, 0], "freq": "1"}
+    mode = "exact" if exact else "float"
+    calls = {
+        "lone coefficient": lambda: exp_sum([(value, 0), (1, 1)], exact=exact),
+        "coefficient pair": lambda: exp_sum([((value, other), 0), (1, 1)], exact=exact),
+        "frequency": lambda: exp_sum([(1, value), (1, other)], exact=exact),
+        "basis": lambda: FrequencyBasis((value,)),
+        "problem coeff": lambda: parse_problem(
+            {"mode": mode, "f": [{"coeff": [value, other], "freq": "0"}, one]}),
+        "problem freq": lambda: parse_problem(
+            {"mode": mode, "f": [{"coeff": [1, 0], "freq": value}, one]}),
+        "problem basis": lambda: parse_problem(
+            {"basis": [value], "f": [{"coeff": [1, 0], "freq": [other]}]}),
+        "problem terms": lambda: parse_problem({"mode": mode, "f": [value], "g": value}),
+    }
+    escaped = []
+    for name, call in calls.items():
+        try:
+            call()
+        except InputError:
+            pass
+        except Exception as exc:  # named, not raised: a huge value makes a huge report
+            escaped.append(f"{name}: {type(exc).__name__}")
+    assert not escaped
 
 
 # each value serves as a coefficient part and as a frequency (5e-324 as its

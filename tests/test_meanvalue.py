@@ -15,7 +15,7 @@ from expmean.exact import GaussianRational, GR_ZERO
 from expmean.meanvalue import (
     MeanValueResult,
     _a_value,
-    _edge_quotients,
+    _derivative_products,
     mean_value,
     mean_zero_count,
     support_semigroup_generators,
@@ -30,6 +30,7 @@ from expmean.sums import (
     FrequencyBasis,
     divide_by_extreme_term,
     exp_sum,
+    extreme_term,
     multiply,
     normalize,
     one_sum,
@@ -220,7 +221,8 @@ def test_constant_term_g_one_is_extreme_frequency():
     for _ in range(100):
         f = random_exact_sum(rng)
         g = one_sum(exact=True)
-        a1, an = _a_value(f, g, End.FIRST), _a_value(f, g, End.LAST)
+        products = _derivative_products(f, g)
+        a1, an = _a_value(f, products, End.FIRST), _a_value(f, products, End.LAST)
         lo = f.terms[0].freq
         hi = f.terms[-1].freq
         assert a1 == tuple(GaussianRational(c, Fraction(0)) for c in lo.coords)
@@ -232,21 +234,24 @@ def test_constant_term_cutoff_independence():
     for _ in range(40):
         f = random_exact_sum(rng, max_terms=4)
         g = random_exact_sum(rng, max_terms=3)
+        products = _derivative_products(f, g)
         for end in (End.FIRST, End.LAST):
             # the cutoff _a_value expands to, widened by 7/2
-            quotients = _edge_quotients(f, g, end)
-            values = [f.basis.value_key(t.freq) for p in quotients for t in p.terms]
+            ext = extreme_term(f, end)
+            quotients = [[(t.coeff / ext.coeff, t.freq - ext.freq) for t in p.terms]
+                         for p in products]
+            values = [f.basis.value_key(q) for p in quotients for _, q in p]
             cut = max(0, -min(values)) if end is End.FIRST else max(0, max(values))
             series = truncated_reciprocal(divide_by_extreme_term(f, end), end, cut + Fraction(7, 2))
             series_at = {t.freq: t.coeff for t in series.sum.terms}
             widened = []
             for p in quotients:
                 acc = GR_ZERO
-                for t in p.terms:
-                    if -t.freq in series_at:
-                        acc = acc + t.coeff * series_at[-t.freq]
+                for c, q in p:
+                    if -q in series_at:
+                        acc = acc + c * series_at[-q]
                 widened.append(acc)
-            assert _a_value(f, g, end) == tuple(widened)
+            assert _a_value(f, products, end) == tuple(widened)
 
 
 def test_constant_term_zero_f_raises():

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from expmean.errors import InputError
+from expmean.errors import InputError, NumericalError
 from expmean.exact import GR_ONE, GaussianRational
 from expmean.sums import (
     DEFAULT_BASIS,
@@ -141,6 +141,43 @@ def test_float_mode_coefficient_below_double_range_is_input_error(coeff):
 def test_float_mode_coefficient_keeping_a_nonzero_part_is_accepted():
     f = exp_sum([(1, 0), (("1e-400", 2), 1), ((0, "0/5"), 2)])
     assert [t.coeff for t in f.terms] == [1, 2j]
+
+
+def test_exact_mode_takes_integral_floats_and_complex_values():
+    f = exp_sum([(2.0, 0), (complex(1, -3), 1), ((4.0, -0.0), 2)], exact=True)
+    assert [t.coeff for t in f.terms] == [GaussianRational.of(2), GaussianRational.of(1, -3),
+                                          GaussianRational.of(4)]
+    for lossy in (0.5, complex(1, 0.5), (1, 0.1)):
+        with pytest.raises(InputError, match="term 0: exact mode takes integers"):
+            exp_sum([(lossy, 0)], exact=True)
+
+
+def test_float_mode_keeps_the_sign_of_zero():
+    c = exp_sum([((-0.0, 1.0), 0), (complex(2, -0.0), 1)])
+    assert [math.copysign(1, x) for t in c.terms for x in (t.coeff.real, t.coeff.imag)] == [
+        -1, 1, 1, -1]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_booleans_and_non_list_frequencies_are_rejected(exact):
+    for pairs in ([(True, 0)], [((1, False), 0)], [(1, True)], [(1, [True])], [(1, {"1": 0})]):
+        with pytest.raises(InputError, match="term 0: "):
+            exp_sum(pairs, exact=exact)
+
+
+def test_exact_coefficient_below_double_range_does_not_convert():
+    f = exp_sum([("1e-400", 0), (1, 1)], exact=True)
+    with pytest.raises(NumericalError, match="exact coefficient does not fit a double"):
+        f.to_float_mode()
+    # a part that stays nonzero keeps the coefficient, as in float mode
+    g = exp_sum([(("1e-400", 2), 0), (1, 1)], exact=True).to_float_mode()
+    assert [t.coeff for t in g.terms] == [2j, 1]
+
+
+@pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity", "-Infinity", "1e400", "x"])
+def test_basis_rejects_non_finite_values(value):
+    with pytest.raises(InputError, match="basis value"):
+        FrequencyBasis(("1", value))
 
 
 def test_basis_rejects_nonpositive_values():

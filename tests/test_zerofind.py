@@ -102,6 +102,20 @@ def test_strip_bound_ends_past_8192():
     assert 8192 < b1 < b2
 
 
+@pytest.mark.parametrize("eps", ["1e-12", "1e-300"])
+def test_strip_bound_brackets_up_to_double_range(eps):
+    # f = 1 + e(eps z): the tail exp(-2 pi b eps) is 1/2 at b = log 2 / (2 pi eps)
+    b = strip_bound(exp_sum([(1, 0), (1, eps)]))
+    expected = math.log(2) / (2 * math.pi * float(eps))
+    assert abs(b - expected) < 1e-9 * expected
+
+
+def test_strip_bound_beyond_double_range_is_numerical_error():
+    # b would be about 1e319, past the largest double
+    with pytest.raises(NumericalError, match="strip bound is beyond double range"):
+        strip_bound(exp_sum([(1, 0), (1, "1e-320")]))
+
+
 def test_strip_bound_input_checks():
     with pytest.raises(InputError):
         strip_bound(exp_sum([(1, 2)]))
