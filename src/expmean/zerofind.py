@@ -4,9 +4,11 @@ Every zero of a sum with at least two terms lies in an explicit vertical
 strip |Re z| < B: once the extreme term is factored out, the remaining
 tail is < 1 in modulus beyond the strip, so the sum cannot vanish there.
 Inside the strip the zeros with |Im z| < R are isolated by recursive
-rectangle bisection driven by boundary winding counts and refined by
-damped Newton iteration; each zero's multiplicity is the winding count of
-the box that claims it.  A winding count compares Simpson rules at doubling
+rectangle bisection driven by boundary winding counts.  Once a box is below
+_BOX_DIAMETER = 0.1, damped Newton from its center claims it when the point
+it settles on stays in the box and carries the box's count; otherwise
+bisection goes on.  Each zero's multiplicity is the winding count of the box
+that claims it.  A winding count compares Simpson rules at doubling
 sample counts and takes each exponential once: f and f' share the generator
 exponentials of a contour, and a refined contour computes them at its new
 samples only.
@@ -53,7 +55,7 @@ from .sums import (
 )
 
 _CLEARANCE_REL = 1e-13
-_BOX_DIAMETER = 1e-3
+_BOX_DIAMETER = 0.1
 _MULT_RADIUS = 1e-4
 _MERGE_RADIUS = 1e-7
 _MAX_EDGE_DOUBLINGS = 11
@@ -398,16 +400,18 @@ def _position(zero: Zero) -> tuple[float, float]:
 def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     """Zeros with |Im z| < height near R, plus the contour bookkeeping.
 
-    Boxes are bisected until they are small; a small box is then claimed
-    by the point Newton finds from its center when that point accounts
-    for the box's whole count.  Otherwise, as for a mixed cluster of
-    near-coincident but distinct zeros, it is bisected further, so each
-    zero gets its own representative.  A claim's multiplicity is the
-    winding count of its box, so the multiplicities add up to the outer
-    winding by construction.  Two claims within _MERGE_RADIUS of each other
-    raise: box counts cannot see one zero claimed by two boxes.  So do n or
-    more zeros, counted with multiplicity, in a window of height
-    0.999/(a_n - a_1): a sum of n terms has fewer there.
+    Boxes are bisected until they are below _BOX_DIAMETER = 0.1; such a
+    box is then claimed by the point Newton finds from its center when that
+    point lies in the box and accounts for the box's whole count.
+    Otherwise, as when Newton fails or leaves the box, or for a mixed
+    cluster of near-coincident but distinct zeros, bisection is the
+    fallback: the box is halved further, so each zero gets its own
+    representative.  A claim's multiplicity is the winding count of its
+    box, so the multiplicities add up to the outer winding by construction.
+    Two claims within _MERGE_RADIUS of each other raise: box counts cannot
+    see one zero claimed by two boxes.  So do n or more zeros, counted with
+    multiplicity, in a window of height 0.999/(a_n - a_1): a sum of n terms
+    has fewer there.
     """
     ws, b, height = _ordinate_step(f, R)
     outer = Rect(-b, b, -height, height)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expmean import sums, zerofind
+from expmean.cli import load_problem
 from expmean.errors import (
     ContourOnZeroError,
     ContourTooCloseError,
@@ -42,6 +44,7 @@ TWO_TERM = exp_sum([(1, 0), (1, 1)])  # zeros at i(k + 1/2)
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])  # zeros at (ln2 or ln3)/2pi + ik
 DOUBLE = exp_sum([(1, 0), (-2, 1), (1, 2)])  # (e^{2pi z} - 1)^2, double zeros at ik
 TRIPLE = exp_sum([(1, 0), (-3, 1), (3, 2), (-1, 3)])  # (1 - e^{2pi z})^3, triple zeros at ik
+SQRT2_SUM = load_problem(str(Path(__file__).resolve().parent.parent / "problems" / "sqrt2.json")).f
 
 
 def winding_count(f, rect):
@@ -325,9 +328,10 @@ def test_simple_zeros_wind_no_small_square(monkeypatch):
 
 
 def test_depth_exhaustion_reports_sorted_claims_without_windings(monkeypatch):
-    # at depth 22 the zeros ln(2)/2pi + i and ln(3)/2pi + i are claimed before
-    # another box runs out of depth; the error path winds no square
-    monkeypatch.setattr(zerofind, "_MAX_DEPTH", 22)
+    # at depth 9 the zeros ln(2)/2pi + i and ln(3)/2pi + i are claimed before
+    # another box runs out of depth (from depth 10 on the search completes);
+    # the error path winds no square
+    monkeypatch.setattr(zerofind, "_MAX_DEPTH", 9)
     sides = _contour_sides(monkeypatch)
     with pytest.raises(NumericalError, match="depth exhausted") as exc:
         search_zeros(THREE_TERM, 1.3)
@@ -338,6 +342,34 @@ def test_depth_exhaustion_reports_sorted_claims_without_windings(monkeypatch):
         assert abs(z - complex(math.log(k) / (2 * math.pi), 1)) < 1e-9
     assert all(z.multiplicity == 1 for z in partial)
     assert min(sides) > 2 * zerofind._MULT_RADIUS
+
+
+@pytest.mark.parametrize("f, R", [(THREE_TERM, 5.1), (SQRT2_SUM, 5.0)], ids=["three_term", "sqrt2"])
+def test_bisection_fallback_finds_the_same_zeros(f, R, monkeypatch):
+    # Newton declining every box of diameter >= 1e-3 forces isolation by
+    # bisection down to that size; the zeros found must not change
+    key = lambda z: (round(z.location.imag, 6), z.location.real)
+    default = sorted(search_zeros(f, R).zeros, key=key)
+    newton = zerofind._newton_refine
+    monkeypatch.setattr(
+        zerofind, "_newton_refine",
+        lambda ws, box: None if box.diameter() >= 1e-3 else newton(ws, box),
+    )
+    fallback = sorted(search_zeros(f, R).zeros, key=key)
+    assert default and len(fallback) == len(default)
+    assert [z.multiplicity for z in fallback] == [z.multiplicity for z in default]
+    for a, b in zip(fallback, default):
+        assert abs(a.location - b.location) < 1e-9
+
+
+def test_winding_calls_per_zero(monkeypatch):
+    # Newton claims a zero from a box below _BOX_DIAMETER = 0.1: about 16
+    # winding calls per zero on sqrt2 at R=20, where bisecting every box
+    # down to 1e-3 takes about 42
+    sides = _contour_sides(monkeypatch)
+    zs = search_zeros(SQRT2_SUM, 20.0).zeros
+    assert len(zs) == 56
+    assert len(sides) <= 20 * len(zs)
 
 
 def test_double_claim_raises_with_partial(monkeypatch):
