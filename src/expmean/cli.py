@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -411,6 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def _inputs_echo(args: argparse.Namespace, problem: Problem) -> dict:
     """Every flag the command parsed, and the problem in canonical form."""
     echo = {key: value for key, value in vars(args).items() if key != "command"}
@@ -419,7 +426,7 @@ def _inputs_echo(args: argparse.Namespace, problem: Problem) -> dict:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         problem = load_problem(args.input)
         start = time.perf_counter()

@@ -4,20 +4,25 @@ Every zero of a sum with at least two terms lies in an explicit vertical
 strip |Re z| < B: once the extreme term is factored out, the remaining
 tail is < 1 in modulus beyond the strip, so the sum cannot vanish there.
 Inside the strip the zeros with |Im z| < R are isolated by recursive
-rectangle bisection driven by boundary winding counts.  Once a box is below
-_BOX_DIAMETER = 0.1, damped Newton from its center claims it when the point
-it settles on stays in the box and carries the box's count; otherwise
-bisection goes on.  Each zero's multiplicity is the winding count of the box
-that claims it.  A winding count compares Simpson rules at doubling
-sample counts and takes each exponential once: f and f' share the generator
-exponentials of a contour, and a refined contour computes them at its new
-samples only.
+rectangle bisection driven by boundary winding counts, one generation of
+boxes at a time.  Once a box is below _BOX_DIAMETER = 0.1, damped Newton
+from its center claims it when the point it settles on stays in the box and
+carries the box's count; otherwise bisection goes on.  Each zero's
+multiplicity is the winding count of the box that claims it.  A winding
+count compares Simpson rules at doubling sample counts and takes each
+exponential once: f and f' share the generator exponentials of a contour,
+and a refined contour computes them at its new samples only.  The first
+contours of both halves of every cut in a generation are evaluated
+together, up to _BATCH_CONTOURS per evaluation, and each contour's values
+are bitwise its own; only a contour that does not settle there is refined
+alone.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
 window |R' - R| <= min(1/(4(a_n - a_1)), R/2) always contains an ordinate R'
 whose lines Im z = +-R' stay clear of every zero.  safe_ordinate is the one
-rule that picks the measured best one: search_zeros(f, R) searches up to
+rule that picks the measured best one, scoring candidate lines from a table
+of the terms at fixed abscissae: search_zeros(f, R) searches up to
 safe_ordinate(f, R), and a verify ladder gives each rung that height.
 Both refuse an expected zero count 2R(a_n - a_1) above _MAX_ZEROS before
 any evaluation.  Every zero found meets the residual bound _RESIDUAL_TOL.
@@ -33,6 +38,7 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +67,8 @@ _MERGE_RADIUS = 1e-7
 _MAX_EDGE_DOUBLINGS = 11
 _JITTER_ATTEMPTS = 12
 _EDGE_SAMPLES = 32
+# first contours evaluated by one ratio call, at most
+_BATCH_CONTOURS = 256
 _WINDING_TOL = 0.25
 _STABLE_EPS = 0.05
 _NEWTON_TOL = 1e-12
@@ -181,13 +189,15 @@ class _Workspace:
         self.df = derivative(self.f)
 
     def ratio(self, zs: np.ndarray | Exponentials, env: np.ndarray) -> np.ndarray:
-        """f'/f at points, or their Exponentials, with envelope env; raises on a zero."""
+        """f'/f at points, or their Exponentials, with envelope env; NaN marks
+        a sample on or next to a zero, so each contour of a batch is judged alone."""
         fv = evaluate_array(self.f, zs)
         dv = evaluate_array(self.df, zs)
         bad = ~np.isfinite(fv) | ~np.isfinite(dv) | (np.abs(fv) <= _CLEARANCE_REL * env)
-        if np.any(bad):
-            raise ContourOnZeroError("quadrature sample sits on or next to a zero")
-        return dv / fv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = dv / fv
+        out[bad] = np.nan
+        return out
 
     def small_residual(self, z: complex, tol: float, fz: complex | None = None) -> bool:
         """|f(z)| <= tol times the coefficient envelope at Re z; pass fz if known."""
@@ -206,37 +216,69 @@ def _simpson_value(deltas: np.ndarray, edges: np.ndarray) -> complex:
     return complex(deltas @ (edges @ _simpson_weights(edges.shape[1] - 1))) / (2j * math.pi)
 
 
-def _winding(ws: _Workspace, rect: Rect) -> int:
+def _contours(rects: list[Rect], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps between the corners of each rect, counterclockwise from (re_min,
+    im_min), one row per rect; and n + 1 evenly spaced points on each edge,
+    edge by edge and rect by rect."""
+    corners = np.array([
+        [complex(r.re_min, r.im_min), complex(r.re_max, r.im_min),
+         complex(r.re_max, r.im_max), complex(r.re_min, r.im_max)]
+        for r in rects
+    ])
+    deltas = np.roll(corners, -1, axis=1) - corners
+    t = np.arange(n + 1) / n
+    return deltas, (corners[..., None] + deltas[..., None] * t).ravel()
+
+
+def _envelope(ws: _Workspace, zs: np.ndarray, n: int) -> np.ndarray:
+    """Coefficient envelope at contour points: it depends on Re z alone, so
+    each vertical edge takes one value."""
+    x = zs.real.reshape(-1, 2, 2, n + 1)  # per contour (bottom, right), (top, left)
+    env = coefficient_envelope(ws.f, np.concatenate([x[:, :, 0], x[:, :, 1, :1]], axis=-1))
+    env = np.concatenate([env[..., :-1], np.repeat(env[..., -1:], n + 1, axis=-1)], axis=-1)
+    return env.ravel()
+
+
+def _first_levels(
+    ws: _Workspace, rects: list[Rect]
+) -> Iterator[tuple[np.ndarray, Exponentials, np.ndarray]]:
+    """The first contour of each rect, at 2 * _EDGE_SAMPLES points per edge:
+    yields its steps between corners, its generator exponentials and its f'/f
+    samples, one row per edge.  Up to _BATCH_CONTOURS contours share one ratio
+    call; each contour's values are bitwise those of its own evaluation."""
+    n = 2 * _EDGE_SAMPLES
+    size = 4 * (n + 1)
+    for start in range(0, len(rects), _BATCH_CONTOURS):
+        deltas, zs = _contours(rects[start:start + _BATCH_CONTOURS], n)
+        level = generator_exponentials(ws.f, zs)
+        samples = ws.ratio(level, _envelope(ws, zs, n)).reshape(-1, 4, n + 1)
+        for k, (steps, edges) in enumerate(zip(deltas, samples)):
+            part = slice(k * size, (k + 1) * size)
+            values = [u[part] for u in level.values]
+            yield steps, level._replace(points=zs[part], values=values), edges
+
+
+def _winding(ws: _Workspace, rect: Rect, first: tuple | None = None) -> int:
     """Winding number of f around rect: Simpson values at n and 2n samples per
     edge, n doubling from _EDGE_SAMPLES, until two agree near an integer.  A
     contour's even samples are the last one's (t = 2k/2n is bitwise k/n): the
     first, at 2 * _EDGE_SAMPLES, gives the coarser value from them, and each
-    later one takes exponentials at its odd samples only."""
-    corners = [
-        complex(rect.re_min, rect.im_min),
-        complex(rect.re_max, rect.im_min),
-        complex(rect.re_max, rect.im_max),
-        complex(rect.re_min, rect.im_max),
-    ]
-    deltas = np.array([b - a for a, b in zip(corners, corners[1:] + corners[:1])])
-    prev = level = None
+    later one takes exponentials at its odd samples only.  first is rect's
+    item of _first_levels when a batch has already evaluated it."""
+    deltas, level, edges = first or next(_first_levels(ws, [rect]))
+    prev = None
     for doubling in range(1, _MAX_EDGE_DOUBLINGS + 1):
         n = _EDGE_SAMPLES << doubling
-        t = np.arange(n + 1) / n
-        zs = np.concatenate([a + d * t for a, d in zip(corners, deltas)])
-        if level is None:
-            level = generator_exponentials(ws.f, zs)
-        else:
+        if prev is not None:
+            zs = _contours([rect], n)[1]
             odd = generator_exponentials(ws.f, zs.reshape(4, n + 1)[:, 1::2]).values
             values = [np.empty((4, n + 1), dtype=np.complex128) for _ in odd]
             for u, even, new in zip(values, level.values, odd):
                 u[:, ::2], u[:, 1::2] = even.reshape(4, -1), new
             level = level._replace(points=zs, values=[u.ravel() for u in values])
-        # the envelope depends on Re z alone: one value for each vertical edge
-        x = zs.real.reshape(2, 2, n + 1)  # (bottom, right), (top, left)
-        env = coefficient_envelope(ws.f, np.concatenate([x[:, 0], x[:, 1, :1]], axis=1))
-        env = np.concatenate([env[:, :-1], np.repeat(env[:, -1:], n + 1, axis=1)], axis=1)
-        edges = ws.ratio(level, env.ravel()).reshape(4, n + 1)
+            edges = ws.ratio(level, _envelope(ws, zs, n)).reshape(4, n + 1)
+        if np.isnan(edges).any():
+            raise ContourOnZeroError("quadrature sample sits on or next to a zero")
         if prev is None:
             # a contiguous copy keeps the product's summation that of a contour of its own
             prev = _simpson_value(deltas, edges[:, ::2].copy())
@@ -254,15 +296,23 @@ def _winding(ws: _Workspace, rect: Rect) -> int:
 def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
     """Ordinate r' with |r' - r| <= window maximizing the worse line minimum
     of the two lines Im z = +-r'.  Each of three rounds of 21 offsets,
-    nearest first, is scored by one evaluation.  A candidate must win by a
+    nearest first, is scored at once from a separable table: f(x + iy) is
+    sum_i c_i e(a_i x) * exp(2 pi i a_i y), so the terms at the abscissae are
+    computed once per scan, and a round takes one exponential per candidate
+    line and term and one matrix product.  A candidate must win by a
     relative _TIE_REL, so ties (r' and period - r' for a periodic f) go to
     the nearer line whatever the rounding."""
+    freqs, coeffs = ws.f.numeric_parts()
     xs = np.linspace(-b, b, _SCAN_SAMPLES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = coeffs[:, None] * np.exp(2 * math.pi * np.outer(freqs, xs))
 
     def scores(cands: list[float]) -> np.ndarray:
         ords = np.array(cands)
-        lines = xs + 1j * np.stack([ords, -ords], axis=-1)[..., None]
-        return np.abs(evaluate_array(ws.f, lines)).min(axis=(1, 2))
+        phases = np.exp(2j * math.pi * np.outer(np.concatenate([ords, -ords]), freqs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lows = np.abs(phases @ table).min(axis=1)
+        return np.minimum(lows[:len(cands)], lows[len(cands):])
 
     best_r = r
     best_v = scores([r])[0]
@@ -312,13 +362,9 @@ def safe_ordinate(f: ExponentialSum, R: float) -> float:
     return _ordinate_step(f, R)[2]
 
 
-def _bisect(ws: _Workspace, box: Rect, count: int) -> tuple[tuple[Rect, int], tuple[Rect, int]]:
-    """Split a box across its longer side into two halves with windings.
-
-    The exact midpoint is tried first, then cuts jittered by a generator
-    seeded from the midpoint and the attempt; a cut is taken once both
-    halves wind cleanly and their counts add up.
-    """
+def _cut_lines(box: Rect) -> Iterator[tuple[Rect, Rect]]:
+    """Halves of box across its longer side: the exact midpoint first, then
+    cuts jittered by a generator seeded from the midpoint and the attempt."""
     vertical = box.width() >= box.height()
     lo, hi = (box.re_min, box.re_max) if vertical else (box.im_min, box.im_max)
     mid = 0.5 * (lo + hi)
@@ -331,19 +377,39 @@ def _bisect(ws: _Workspace, box: Rect, count: int) -> tuple[tuple[Rect, int], tu
         if not (lo < cut < hi):
             continue
         if vertical:
-            a = Rect(box.re_min, cut, box.im_min, box.im_max)
-            b = Rect(cut, box.re_max, box.im_min, box.im_max)
+            yield (Rect(box.re_min, cut, box.im_min, box.im_max),
+                   Rect(cut, box.re_max, box.im_min, box.im_max))
         else:
-            a = Rect(box.re_min, box.re_max, box.im_min, cut)
-            b = Rect(box.re_min, box.re_max, cut, box.im_max)
-        try:
-            wa = _winding(ws, a)
-            wb = _winding(ws, b)
-        except (ContourTooCloseError, ContourOnZeroError):
-            continue
-        if wa + wb == count:
-            return (a, wa), (b, wb)
-    raise NumericalError(f"no admissible cut line found inside {box}")
+            yield (Rect(box.re_min, box.re_max, box.im_min, cut),
+                   Rect(box.re_min, box.re_max, cut, box.im_max))
+
+
+def _bisect(ws: _Workspace, boxes: list[tuple[Rect, int]]) -> list[tuple[Rect, int]]:
+    """Split each (box, count) into two halves with windings, halves in box order.
+
+    A cut is taken once both halves wind cleanly and their counts add up.
+    The first contours of every box's first cut are evaluated together (see
+    _first_levels); a half that does not settle there is refined alone, the
+    second only once the first has settled, and later cuts wind alone.
+    """
+    cuts = [_cut_lines(box) for box, _ in boxes]
+    firsts = [next(c, None) for c in cuts]
+    levels = _first_levels(ws, [half for pair in firsts if pair for half in pair])
+    out = []
+    for (box, count), first, rest in zip(boxes, firsts, cuts):
+        tried = [(first, next(levels), next(levels))] if first else []
+        for (a, b), la, lb in itertools.chain(tried, ((pair, None, None) for pair in rest)):
+            try:
+                wa = _winding(ws, a, la)
+                wb = _winding(ws, b, lb)
+            except (ContourTooCloseError, ContourOnZeroError):
+                continue
+            if wa + wb == count:
+                out += [(a, wa), (b, wb)]
+                break
+        else:
+            raise NumericalError(f"no admissible cut line found inside {box}")
+    return out
 
 
 def _newton_refine(ws: _Workspace, box: Rect) -> complex | None:
@@ -406,8 +472,12 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     Otherwise, as when Newton fails or leaves the box, or for a mixed
     cluster of near-coincident but distinct zeros, bisection is the
     fallback: the box is halved further, so each zero gets its own
-    representative.  A claim's multiplicity is the winding count of its
-    box, so the multiplicities add up to the outer winding by construction.
+    representative.  The boxes of one depth form a generation: its small
+    boxes are tried for claims first, then every box left is cut at once
+    (see _bisect), and a generation at _MAX_DEPTH that still holds a box to
+    cut raises with the claims so far.  A claim's multiplicity is the winding
+    count of its box, so the multiplicities add up to the outer winding by
+    construction.
     Two claims within _MERGE_RADIUS of each other raise: box counts cannot
     see one zero claimed by two boxes.  So do n or more zeros, counted with
     multiplicity, in a window of height 0.999/(a_n - a_1): a sum of n terms
@@ -420,31 +490,34 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
         return ZeroSearch([], b, height, 0)
 
     claims: list[Zero] = []
-    stack: list[tuple[Rect, int, int]] = [(outer, total, 0)]
-    while stack:
-        box, count, depth = stack.pop()
-        if count == 0:
-            continue
-        if box.diameter() < _BOX_DIAMETER:
-            z = _newton_refine(ws, box)
-            if z is not None and _accounts_for(ws, z, count, box):
-                claims.append(Zero(z, count))
+    boxes = [(outer, total)]
+    for depth in itertools.count():
+        cutting = []
+        for box, count in boxes:
+            if count == 0:
                 continue
-            if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
-                z = box.center()
-                if not ws.small_residual(z, _RESIDUAL_TOL):
-                    raise NumericalError(
-                        f"could not refine the zero inside {box} below the residual bound"
-                    )
-                claims.append(Zero(z, count))
-                continue
-        elif depth >= _MAX_DEPTH:
+            if box.diameter() < _BOX_DIAMETER:
+                z = _newton_refine(ws, box)
+                if z is not None and _accounts_for(ws, z, count, box):
+                    claims.append(Zero(z, count))
+                    continue
+                if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
+                    z = box.center()
+                    if not ws.small_residual(z, _RESIDUAL_TOL):
+                        raise NumericalError(
+                            f"could not refine the zero inside {box} below the residual bound"
+                        )
+                    claims.append(Zero(z, count))
+                    continue
+            cutting.append((box, count))
+        if not cutting:
+            break
+        if depth >= _MAX_DEPTH:
             raise NumericalError(
                 "subdivision depth exhausted before isolation",
                 partial=sorted(claims, key=_position),
             )
-        for half, winding in _bisect(ws, box, count):
-            stack.append((half, winding, depth + 1))
+        boxes = _bisect(ws, cutting)
 
     zeros = sorted(claims, key=_position)
     for i, a in enumerate(zeros):

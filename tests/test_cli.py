@@ -422,6 +422,24 @@ def test_empty_r_list_message(problem_file, capsys):
     assert "empty --R-list" in capsys.readouterr().err
 
 
+def test_runs_in_one_process_print_identical_bytes(problem_file, capsys):
+    # run parses with one parser per process: neither other commands, with
+    # their own flags and defaults, nor a usage error in between change a report
+    path = problem_file(TWO_TERM_DOC)
+    argv = ["verify", "--input", path, "--R-list", "1,2"]
+    outs = []
+    for other in (["zeros", "--input", path, "--R", "2"], ["mean", "--input", path, "--format", "csv"]):
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+        assert run(other) == 0
+        with pytest.raises(SystemExit):
+            run(["verify", "--input", path, "--R", "2"])
+        capsys.readouterr()
+    assert run(argv) == 0
+    outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
 _UNREAD_FLAGS = {
     "mean": ["--R", "--R-list", "--tol", "--seed", "--emit-points", "--margin"],
     "laurent-check": ["--R", "--R-list", "--tol", "--seed", "--emit-points", "--margin"],

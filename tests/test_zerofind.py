@@ -308,14 +308,17 @@ def test_multiplicity_is_an_independent_winding(f, R):
 
 
 def _contour_sides(monkeypatch):
-    """The shorter side of every contour the search winds, in call order."""
-    sides, winding = [], zerofind._winding
+    """The shorter side of every contour the search winds, in call order.
 
-    def spy(ws, rect):
-        sides.append(min(rect.width(), rect.height()))
-        return winding(ws, rect)
+    Every contour starts from _first_levels: the batched first levels of a
+    generation's cuts, and a lone _winding's own."""
+    sides, first_levels = [], zerofind._first_levels
 
-    monkeypatch.setattr(zerofind, "_winding", spy)
+    def spy(ws, rects):
+        sides.extend(min(rect.width(), rect.height()) for rect in rects)
+        return first_levels(ws, rects)
+
+    monkeypatch.setattr(zerofind, "_first_levels", spy)
     return sides
 
 
@@ -328,9 +331,9 @@ def test_simple_zeros_wind_no_small_square(monkeypatch):
 
 
 def test_depth_exhaustion_reports_sorted_claims_without_windings(monkeypatch):
-    # at depth 9 the zeros ln(2)/2pi + i and ln(3)/2pi + i are claimed before
-    # another box runs out of depth (from depth 10 on the search completes);
-    # the error path winds no square
+    # the generation at depth 9 claims its small boxes, the zeros ln(2)/2pi + i
+    # and ln(3)/2pi + i, before raising on a box of that generation still above
+    # 0.1 (from depth 10 on the search completes); the error path winds no square
     monkeypatch.setattr(zerofind, "_MAX_DEPTH", 9)
     sides = _contour_sides(monkeypatch)
     with pytest.raises(NumericalError, match="depth exhausted") as exc:
@@ -485,6 +488,8 @@ def _reference_winding(ws, rect):
     def value(n):
         deltas, zs = _contour(rect, n)
         samples = ws.ratio(zs, coefficient_envelope(ws.f, zs.real))
+        if np.isnan(samples).any():  # ratio's mark of a sample on or next to a zero
+            raise ContourOnZeroError("reference sample sits on or next to a zero")
         w = np.ones(n + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w = w / (3.0 * n)
@@ -513,26 +518,66 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+WINDING_CASES = [
+    (TWO_TERM, Rect(-1, 1, -1, 1), 2),
+    (TWO_TERM, Rect(-1, 1, 0.6, 1.4), 0),
+    (DOUBLE, Rect(-0.2, 0.2, -0.3, 0.3), 2),
+    (THREE_TERM, Rect(-1, 1, -2.5, 2.5), 10),
+    # the left edge Re z = 0 runs through the zero i/2 between samples
+    (TWO_TERM, Rect(0, 1, 0.1, 0.8), ContourTooCloseError),
+    # i/2 is a sample of the first contour's coarse rule
+    (TWO_TERM, Rect(-1, 1, -0.5, 0.5), ContourOnZeroError),
+    # +-i/2 are odd samples (t = 33/64, 31/64) of the first contour only
+    (TWO_TERM, Rect(-31 / 32, 33 / 32, -0.5, 0.5), ContourOnZeroError),
+]
+
+
 @pytest.mark.parametrize(
     "f, rect, expected",
-    [
-        (TWO_TERM, Rect(-1, 1, -1, 1), 2),
-        (TWO_TERM, Rect(-1, 1, 0.6, 1.4), 0),
-        (DOUBLE, Rect(-0.2, 0.2, -0.3, 0.3), 2),
-        (THREE_TERM, Rect(-1, 1, -2.5, 2.5), 10),
-        # the left edge Re z = 0 runs through the zero i/2 between samples
-        (TWO_TERM, Rect(0, 1, 0.1, 0.8), ContourTooCloseError),
-        # i/2 is a sample of the first contour's coarse rule
-        (TWO_TERM, Rect(-1, 1, -0.5, 0.5), ContourOnZeroError),
-        # +-i/2 are odd samples (t = 33/64, 31/64) of the first contour only
-        (TWO_TERM, Rect(-31 / 32, 33 / 32, -0.5, 0.5), ContourOnZeroError),
-    ],
+    WINDING_CASES,
     ids=["healthy", "count-0", "double-zero", "multi-zero", "cut-through-zero",
          "on-coarse-sample", "on-fine-sample"],
 )
 def test_winding_matches_two_evaluation_loop(f, rect, expected):
     ws = _Workspace(f)
     assert _outcome(_winding, ws, rect) == _outcome(_reference_winding, ws, rect) == expected
+
+
+def test_batched_first_levels_match_lone_windings(monkeypatch):
+    # every rect above in one batch, on each case's sum: a contour's slice is
+    # bitwise the first level a lone winding evaluates, and its winding from
+    # that slice is the lone winding
+    rects = [rect for _, rect, _ in WINDING_CASES]
+    n = 2 * zerofind._EDGE_SAMPLES
+    for f, own, expected in WINDING_CASES:
+        ws = _Workspace(f)
+        ratio, calls = ws.ratio, []
+        monkeypatch.setattr(
+            ws, "ratio", lambda zs, env: calls.append(zs.points.size) or ratio(zs, env)
+        )
+        batch = list(zerofind._first_levels(ws, rects))
+        assert calls == [len(rects) * 4 * (n + 1)]
+        for rect, first in zip(rects, batch, strict=True):
+            deltas, level, samples = first
+            lone_deltas, lone_level, lone_samples = next(zerofind._first_levels(ws, [rect]))
+            assert level.points.tobytes() == _contour(rect, n)[1].tobytes()
+            assert samples.tobytes() == lone_samples.tobytes()
+            assert deltas.tobytes() == lone_deltas.tobytes()
+            for u, v in zip(level.values, lone_level.values, strict=True):
+                assert u.tobytes() == v.tobytes()
+            assert _outcome(_winding, ws, rect, first) == _outcome(_winding, ws, rect)
+        assert _outcome(_winding, ws, own, batch[rects.index(own)]) == expected
+
+
+def test_first_levels_evaluate_at_most_a_batch_per_call(monkeypatch):
+    monkeypatch.setattr(zerofind, "_BATCH_CONTOURS", 3)
+    ws = _Workspace(THREE_TERM)
+    calls = []
+    ratio = ws.ratio
+    monkeypatch.setattr(ws, "ratio", lambda zs, env: calls.append(zs.points.size) or ratio(zs, env))
+    rects = [Rect(-1, 1, k - 0.25, k + 0.25) for k in range(7)]
+    assert len(list(zerofind._first_levels(ws, rects))) == 7
+    assert calls == [4 * (2 * zerofind._EDGE_SAMPLES + 1) * k for k in (3, 3, 1)]
 
 
 def test_capped_contour_ends_at_the_refinement_cap(monkeypatch):
@@ -658,6 +703,6 @@ def test_best_ordinate_matches_per_candidate_scoring(monkeypatch):
         window, b = zerofind._ordinate_window(f, R), strip_bound(f)
         evaluations.clear()
         got = zerofind._best_ordinate(ws, R, window, b)
-        # the initial line pair, then one evaluation per round over all its lines
-        assert len(evaluations) == 4 and evaluations[0] == 2 * zerofind._SCAN_SAMPLES
+        # the scan scores its lines from its own separable table
+        assert evaluations == []
         assert got == _reference_ordinate(ws, R, window, b), (f, R)
