@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from . import __version__
 from .errors import ExpmeanError, InputError, NumericalError
 from .exact import GaussianRational
 from .laurent import laurent_images, sum_over_roots
@@ -48,7 +49,7 @@ from .sums import ExponentialSum, Frequency, FrequencyBasis, exp_sum, one_sum
 from .verify import convergence_report
 from .zerofind import search_zeros
 
-VERSION = "0.1.0"
+VERSION = __version__
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +206,12 @@ def render_json(obj: Any) -> str:
 
 
 def _csv_cell(value: Any) -> str:
+    """A float at 17 significant digits; a complex as a+bj or a-bj, which complex() reads."""
     if isinstance(value, float):
         return _format_float(value)
+    if isinstance(value, complex):
+        im = _format_float(value.imag)
+        return _format_float(value.real) + ("" if im.startswith("-") else "+") + im + "j"
     return str(value)
 
 
@@ -222,10 +227,6 @@ def render_csv(rows: list[list[Any]]) -> str:
 # result builders
 
 
-def _c(z: complex | None) -> list[float] | None:
-    return None if z is None else [float(z.real), float(z.imag)]
-
-
 def _generators_json(gens, basis: FrequencyBasis) -> list:
     return [_freq_to_json(g, basis) for g in gens]
 
@@ -239,9 +240,9 @@ def _exact_vector_json(vec: tuple[GaussianRational, ...] | None) -> Any:
 def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
     res = mean_value(problem.f, problem.g)
     return {
-        "A_first": _c(res.A_first),
-        "A_last": _c(res.A_last),
-        "M": _c(res.mean),
+        "A_first": res.A_first,
+        "A_last": res.A_last,
+        "M": res.mean,
         "neg_generators": _generators_json(res.neg_generators, problem.f.basis),
         "pos_generators": _generators_json(res.pos_generators, problem.f.basis),
         "mean_exact": _exact_vector_json(res.mean_exact),
@@ -295,14 +296,14 @@ def cmd_verify(problem: Problem, args: argparse.Namespace) -> dict:
         {
             "R": r.R,
             "count": r.count,
-            "weighted_sum": _c(r.weighted_sum),
-            "empirical_mean": _c(r.empirical_mean),
+            "weighted_sum": r.weighted_sum,
+            "empirical_mean": r.empirical_mean,
             "abs_error": r.abs_error,
         }
         for r in report.rows
     ]
     return {
-        "symbolic_mean": _c(report.symbolic_mean),
+        "symbolic_mean": report.symbolic_mean,
         "tolerance": report.tolerance,
         "rows": rows,
         "verdict": "pass" if report.verdict else "fail",
@@ -319,9 +320,9 @@ def cmd_laurent_check(problem: Problem, args: argparse.Namespace) -> dict:
     roots = 0j if G.is_zero() or F.exponent_span() == 0 else sum_over_roots(F, G)
     return {
         "q": q,
-        "residue_formula_sum": _c(residue),
-        "sum_over_roots": _c(roots),
-        "mean_value_bridge": _c(bridge),
+        "residue_formula_sum": residue,
+        "sum_over_roots": roots,
+        "mean_value_bridge": bridge,
         "residue_vs_roots": abs(residue - roots),
         "bridge_vs_roots": abs(bridge - roots / q),
     }
@@ -349,18 +350,13 @@ def _result_rows(command: str, results: dict) -> list[list[Any]]:
     if command == "verify":
         rows = [["R", "count", "empirical_re", "empirical_im", "abs_error"]]
         for r in results["rows"]:
-            rows.append(
-                [r["R"], r["count"], r["empirical_mean"][0], r["empirical_mean"][1], r["abs_error"]]
-            )
+            mean = r["empirical_mean"]
+            rows.append([r["R"], r["count"], mean.real, mean.imag, r["abs_error"]])
         return rows
     rows = [["key", "value"]]
     for key in sorted(results):
         value = results[key]
-        if isinstance(value, list) and len(value) == 2 and all(
-            isinstance(p, float) for p in value
-        ):
-            rows.append([key, _format_float(value[0]) + "+" + _format_float(value[1]) + "j"])
-        elif isinstance(value, (int, float, str)):
+        if isinstance(value, (int, float, complex, str)):
             rows.append([key, value])
         else:
             rows.append([key, json.dumps(value, sort_keys=True, default=str)])

@@ -159,10 +159,6 @@ class ExpTerm:
     freq: Frequency
 
 
-def _coeff_is_exact(c) -> bool:
-    return isinstance(c, GaussianRational)
-
-
 def _coerce_coeff(c, exact: bool) -> Coeff:
     """Read a coefficient -- a GaussianRational, a complex, an (re, im) pair
     or a lone real -- into the active mode's type."""
@@ -195,10 +191,6 @@ def _read_part(x, exact: bool) -> Fraction | float:
     if exact and not x.is_integer():
         raise InputError(f"exact mode takes integers or rational strings, not {x!r}")
     return Fraction(x) if exact else x
-
-
-def _coeff_zero(c) -> bool:
-    return c.is_zero() if _coeff_is_exact(c) else c == 0
 
 
 @dataclass(frozen=True)
@@ -276,15 +268,6 @@ class ExponentialSum:
     def __add__(self, other: "ExponentialSum") -> "ExponentialSum":
         return add(self, other)
 
-    def __sub__(self, other: "ExponentialSum") -> "ExponentialSum":
-        return add(self, negate(other))
-
-    def __mul__(self, other: "ExponentialSum") -> "ExponentialSum":
-        return multiply(self, other)
-
-    def __neg__(self) -> "ExponentialSum":
-        return negate(self)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "ExponentialSum(0)"
@@ -300,39 +283,37 @@ def _check_same_basis(a: ExponentialSum, b: ExponentialSum) -> None:
 
 
 def normalize(raw_terms: Iterable[ExpTerm], basis: FrequencyBasis, exact: bool) -> ExponentialSum:
-    """Merge equal frequencies, drop zero coefficients, sort ascending.
+    """Merge equal frequencies, drop zero coefficients, sort ascending; every
+    operation of this module builds its result here.
 
     Idempotent.  Every coefficient must be of the mode ``exact`` names.
     Raises if two distinct frequency vectors collide at the same numeric
     value, which can only happen when the declared basis is not Q-linearly
     independent at the represented precision.
     """
-    raw = list(raw_terms)
-    for t in raw:
-        if _coeff_is_exact(t.coeff) != exact:
+    merged: dict[tuple[Fraction, ...], Coeff] = {}
+    for t in raw_terms:
+        if isinstance(t.coeff, GaussianRational) != exact:
             raise InputError("term list mixes exact and float coefficients")
         if len(t.freq.coords) != len(basis):
             raise InputError(
                 f"term frequency has {len(t.freq.coords)} coordinates, basis has {len(basis)}"
             )
-
-    merged: dict[tuple[Fraction, ...], Coeff] = {}
-    for t in raw:
         key = t.freq.coords
-        if key in merged:
-            merged[key] = merged[key] + t.coeff
-        else:
-            merged[key] = t.coeff
+        merged[key] = merged[key] + t.coeff if key in merged else t.coeff
 
-    kept = [(Frequency(k), c) for k, c in merged.items() if not _coeff_zero(c)]
-    kept.sort(key=lambda fc: basis.value_key(fc[0]))
-    for (f1, _), (f2, _) in zip(kept, kept[1:]):
-        if basis.value_key(f1) == basis.value_key(f2):
-            raise InputError(
-                "distinct frequency vectors share one numeric value; "
-                "the declared basis is not Q-linearly independent"
-            )
-    return ExponentialSum(tuple(ExpTerm(c, f) for f, c in kept), basis, exact)
+    kept = []  # (value, frequency, coefficient) of each nonzero term
+    for coords, c in merged.items():
+        if not (c.is_zero() if exact else c == 0):
+            f = Frequency(coords)
+            kept.append((basis.value_key(f), f, c))
+    kept.sort(key=lambda vfc: vfc[0])
+    if any(a[0] == b[0] for a, b in zip(kept, kept[1:])):
+        raise InputError(
+            "distinct frequency vectors share one numeric value; "
+            "the declared basis is not Q-linearly independent"
+        )
+    return ExponentialSum(tuple(ExpTerm(c, f) for _, f, c in kept), basis, exact)
 
 
 def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> ExponentialSum:
@@ -424,12 +405,6 @@ def coefficient_envelope(f: ExponentialSum, x: np.ndarray) -> np.ndarray:
 def add(a: ExponentialSum, b: ExponentialSum) -> ExponentialSum:
     _check_same_basis(a, b)
     return normalize(list(a.terms) + list(b.terms), a.basis, exact=a.exact)
-
-
-def negate(f: ExponentialSum) -> ExponentialSum:
-    return ExponentialSum(
-        tuple(ExpTerm(-t.coeff, t.freq) for t in f.terms), f.basis, f.exact
-    )
 
 
 def derivative(f: ExponentialSum) -> ExponentialSum:

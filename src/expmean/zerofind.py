@@ -51,6 +51,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .sums import (
+    TWO_PI,
     ExponentialSum,
     Exponentials,
     coefficient_envelope,
@@ -200,9 +201,12 @@ class _Workspace:
         return out
 
     def small_residual(self, z: complex, tol: float, fz: complex | None = None) -> bool:
-        """|f(z)| <= tol times the coefficient envelope at Re z; pass fz if known."""
+        """|f(z)| <= tol times the coefficient envelope at Re z, summed term by
+        term as evaluate sums f; pass fz if known."""
         fz = evaluate(self.f, z) if fz is None else fz
-        return abs(fz) <= tol * float(coefficient_envelope(self.f, np.array([z.real]))[0])
+        freqs, coeffs = self.f.numeric_parts()
+        with np.errstate(over="ignore"):
+            return abs(fz) <= tol * float(np.abs(coeffs) @ np.exp(TWO_PI * freqs * z.real))
 
 
 @functools.cache
@@ -475,7 +479,8 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     representative.  The boxes of one depth form a generation: its small
     boxes are tried for claims first, then every box left is cut at once
     (see _bisect), and a generation at _MAX_DEPTH that still holds a box to
-    cut raises with the claims so far.  A claim's multiplicity is the winding
+    cut raises.  Every failure after the outer winding carries the sorted
+    claims so far as partial.  A claim's multiplicity is the winding
     count of its box, so the multiplicities add up to the outer winding by
     construction.
     Two claims within _MERGE_RADIUS of each other raise: box counts cannot
@@ -490,34 +495,35 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
         return ZeroSearch([], b, height, 0)
 
     claims: list[Zero] = []
-    boxes = [(outer, total)]
-    for depth in itertools.count():
-        cutting = []
-        for box, count in boxes:
-            if count == 0:
-                continue
-            if box.diameter() < _BOX_DIAMETER:
-                z = _newton_refine(ws, box)
-                if z is not None and _accounts_for(ws, z, count, box):
-                    claims.append(Zero(z, count))
+    try:
+        boxes = [(outer, total)]
+        for depth in itertools.count():
+            cutting = []
+            for box, count in boxes:
+                if count == 0:
                     continue
-                if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
-                    z = box.center()
-                    if not ws.small_residual(z, _RESIDUAL_TOL):
-                        raise NumericalError(
-                            f"could not refine the zero inside {box} below the residual bound"
-                        )
-                    claims.append(Zero(z, count))
-                    continue
-            cutting.append((box, count))
-        if not cutting:
-            break
-        if depth >= _MAX_DEPTH:
-            raise NumericalError(
-                "subdivision depth exhausted before isolation",
-                partial=sorted(claims, key=_position),
-            )
-        boxes = _bisect(ws, cutting)
+                if box.diameter() < _BOX_DIAMETER:
+                    z = _newton_refine(ws, box)
+                    if z is not None and _accounts_for(ws, z, count, box):
+                        claims.append(Zero(z, count))
+                        continue
+                    if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
+                        z = box.center()
+                        if not ws.small_residual(z, _RESIDUAL_TOL):
+                            raise NumericalError(
+                                f"could not refine the zero inside {box} below the residual bound"
+                            )
+                        claims.append(Zero(z, count))
+                        continue
+                cutting.append((box, count))
+            if not cutting:
+                break
+            if depth >= _MAX_DEPTH:
+                raise NumericalError("subdivision depth exhausted before isolation")
+            boxes = _bisect(ws, cutting)
+    except NumericalError as exc:  # a failed box or cut: report the zeros claimed so far
+        exc.partial = sorted(claims, key=_position)
+        raise
 
     zeros = sorted(claims, key=_position)
     for i, a in enumerate(zeros):
@@ -548,5 +554,5 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
             raise NumericalError(f"zero at {z.location} fails the residual bound", partial=zeros)
     for z in zeros:
         if not (abs(z.location.real) < b + 1e-12 and abs(z.location.imag) < height):
-            raise NumericalError(f"refined zero {z.location} escaped the search box")
+            raise NumericalError(f"refined zero {z.location} escaped the search box", partial=zeros)
     return ZeroSearch(zeros, b, height, total)

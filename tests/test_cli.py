@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expmean import zerofind
 from expmean.cli import (
     _COMMANDS,
     build_parser,
@@ -288,6 +289,38 @@ def test_verify_reports_pass(problem_file, capsys):
     assert res["symbolic_mean"] == [-1.0, 0.0]
 
 
+def test_verify_csv_has_one_row_per_rung(problem_file, capsys):
+    # the empirical mean's real and imaginary parts each take a column
+    doc = dict(TWO_TERM_DOC, mode="float", g=[{"coeff": [1, 2], "freq": "0"}])
+    path = problem_file(doc)
+    rows = run_json(["verify", "--input", path, "--R-list", "1,2"], capsys)["results"]["rows"]
+    assert run(["verify", "--input", path, "--R-list", "1,2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "R,count,empirical_re,empirical_im,abs_error"
+    assert len(lines) == 1 + len(rows) == 3
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert [float(cells[0]), int(cells[1])] == [row["R"], row["count"]]
+        assert [float(cells[2]), float(cells[3])] == row["empirical_mean"]
+        assert float(cells[4]) == row["abs_error"]
+        assert float(cells[3]) != 0.0
+
+
+def test_csv_complex_cells_parse_with_a_negative_imaginary_part(problem_file, capsys):
+    # f = 1 + e(z), g = -2i: the mean is -2i, written 0.0-2.0j, not 0.0+-2.0j
+    doc = dict(TWO_TERM_DOC, mode="float", g=[{"coeff": [0, -2], "freq": "0"}])
+    path = problem_file(doc)
+    assert run(["mean", "--input", path, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "M,0.0-2.0j" in lines
+    assert run(["laurent-check", "--input", path, "--format", "csv"]) == 0
+    lines += capsys.readouterr().out.splitlines()
+    cells = [line.split(",", 1)[1] for line in lines if line.endswith("j")]
+    assert len(cells) == 6  # A_first, A_last, M and laurent-check's three sums
+    for cell in cells:
+        complex(cell)
+
+
 def test_verify_verdict_reads_no_rounding_noise(capsys, monkeypatch):
     # both rows match the symbolic mean 5 to about 4e-12, so their error
     # ratio is a ratio of rounding noise and says nothing about the trend
@@ -422,6 +455,14 @@ def test_empty_r_list_message(problem_file, capsys):
     assert "empty --R-list" in capsys.readouterr().err
 
 
+def test_bad_r_list_message(problem_file, capsys):
+    path = problem_file(TWO_TERM_DOC)
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--input", path, "--R-list", "2,x"])
+    assert exc.value.code == 2
+    assert "bad --R-list" in capsys.readouterr().err
+
+
 def test_runs_in_one_process_print_identical_bytes(problem_file, capsys):
     # run parses with one parser per process: neither other commands, with
     # their own flags and defaults, nor a usage error in between change a report
@@ -546,7 +587,7 @@ def test_non_finite_coefficients_are_input_errors(tmp_path, capsys, mode, part):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_render_failure_exit_code(problem_file, capsys, monkeypatch, fmt):
     path = problem_file(TWO_TERM_DOC)
-    monkeypatch.setitem(_COMMANDS, "mean", lambda problem, args: {"M": [math.nan, 0.0]})
+    monkeypatch.setitem(_COMMANDS, "mean", lambda problem, args: {"M": complex(math.nan, 0.0)})
     assert run(["mean", "--input", path, "--format", fmt]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -748,6 +789,37 @@ def test_numerical_failure_reports_partial_zeros(problem_file, capsys, monkeypat
     message, partial = captured.err.splitlines()
     assert "synthetic failure" in message
     assert json.loads(partial) == [{"re": 0.25, "im": -0.5, "multiplicity": 2}]
+
+
+@pytest.mark.parametrize(
+    "coeffs, R, depth, declined, message, claimed",
+    [
+        ([1, 1], "1", 20, lambda box: box.im_max < 0, "could not refine the zero", [(0.5, 1)]),
+        ([1, -2, 1], "1.3", 60, lambda box: box.contains(0j), "no admissible cut line",
+         [(-1.0, 2), (1.0, 2)]),
+    ],
+    ids=["centre-claim", "cut-line"],
+)
+def test_search_failures_print_the_claims_so_far(
+    problem_file, capsys, monkeypatch, coeffs, R, depth, declined, message, claimed
+):
+    # Newton declines the boxes around one zero; the zeros it claimed
+    # elsewhere follow the error on stderr
+    newton = zerofind._newton_refine
+    monkeypatch.setattr(
+        zerofind, "_newton_refine", lambda ws, box: None if declined(box) else newton(ws, box)
+    )
+    monkeypatch.setattr(zerofind, "_MAX_DEPTH", depth)
+    path = problem_file({"f": [{"coeff": [c, 0], "freq": k} for k, c in enumerate(coeffs)]})
+    assert run(["zeros", "--input", path, "--R", R]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, partial = captured.err.splitlines()
+    assert message in error
+    got = json.loads(partial)
+    assert [z["multiplicity"] for z in got] == [m for _, m in claimed]
+    for z, (im, _) in zip(got, claimed):
+        assert abs(complex(z["re"], z["im"]) - 1j * im) < 1e-6
 
 
 def test_output_bytes_deterministic(problem_file, capsys):

@@ -4,7 +4,10 @@ import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import expmean
+from expmean.cli import run
 
 SRC = Path(expmean.__file__).parent
 
@@ -59,3 +62,14 @@ def test_modules_use_every_import():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read, f"{path.name} never reads {sorted(imported - read)}"
+
+
+def test_one_version_string(capsys):
+    # the CLI and the package metadata both read expmean.__version__
+    tomllib = pytest.importorskip("tomllib")
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"expmean {expmean.__version__}\n"
+    with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == expmean.__version__

@@ -92,6 +92,22 @@ def test_normalize_detects_basis_collision():
         normalize([ExpTerm(1 + 0j, f1), ExpTerm(1 + 0j, f2)], basis, exact=False)
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_normalize_reads_each_kept_value_once(monkeypatch, exact):
+    # frequency 2 merges, 1 cancels and 0 stays: two values, for the sort and the collision check
+    read, value_key = [], FrequencyBasis.value_key
+    monkeypatch.setattr(
+        FrequencyBasis, "value_key", lambda self, freq: read.append(freq) or value_key(self, freq)
+    )
+    one = GR_ONE if exact else 1 + 0j
+    coeffs = (one, one, one, one, -one)
+    raw = (ExpTerm(c, Frequency.of(k)) for c, k in zip(coeffs, (2, 0, 2, 1, 1)))
+    f = normalize(raw, DEFAULT_BASIS, exact)
+    assert [t.freq for t in f.terms] == [Frequency.of(0), Frequency.of(2)]
+    assert f.terms[1].coeff == one + one
+    assert sorted(read, key=lambda freq: freq.coords) == f.frequencies()
+
+
 def test_float_mode_coefficient_pairs_parse_rationals():
     pairs = [(("-1/2", "1/3"), 1), ((Fraction(3, 4), 2), 0), (("7", -1), "1/2")]
     assert exp_sum(pairs) == exp_sum(pairs, exact=True).to_float_mode()

@@ -295,6 +295,18 @@ def test_small_box_with_two_zeros_is_split_again():
         assert abs(z.location - e) < 1e-9
 
 
+@pytest.mark.parametrize("f", [THREE_TERM, SQRT2_SUM], ids=["lattice", "sqrt2"])
+def test_small_residual_scale_is_the_coefficient_envelope(f):
+    # the one-point envelope, summed term by term, agrees with
+    # coefficient_envelope's generator powers to far below 1e-12
+    ws = _Workspace(f)
+    for x in np.linspace(-3.0, 3.0, 13):
+        env = float(coefficient_envelope(ws.f, np.array([x]))[0])
+        z = complex(x, 0.7)
+        assert ws.small_residual(z, 1e-9, 1e-9 * env * (1 - 1e-12))
+        assert not ws.small_residual(z, 1e-9, 1e-9 * env * (1 + 1e-12))
+
+
 @pytest.mark.parametrize("f, R", [(DOUBLE, 0.6), (TRIPLE, 1.3), (THREE_TERM, 5.1)],
                          ids=["double", "triple", "simple"])
 def test_multiplicity_is_an_independent_winding(f, R):
@@ -373,6 +385,35 @@ def test_winding_calls_per_zero(monkeypatch):
     zs = search_zeros(SQRT2_SUM, 20.0).zeros
     assert len(zs) == 56
     assert len(sides) <= 20 * len(zs)
+
+
+def test_centre_claims_when_newton_declines_every_box(monkeypatch):
+    # bisection goes on down to diameter 1e-10, where a box's centre is
+    # claimed once it meets the residual bound
+    monkeypatch.setattr(zerofind, "_newton_refine", lambda ws, box: None)
+    monkeypatch.setattr(zerofind, "_MAX_DEPTH", 70)
+    zs = search_zeros(TWO_TERM, 1.0).zeros
+    assert [z.multiplicity for z in zs] == [1, 1]
+    for z, e in zip(zs, (-0.5j, 0.5j)):
+        assert abs(z.location - e) < 1e-9
+
+
+def test_multiplicity_square_on_a_zero_is_halved(monkeypatch):
+    # the first square's contour sits on a zero: the halved square decides the claim
+    winding, squares = zerofind._winding, []
+
+    def first_square_on_a_zero(ws, rect, first=None):
+        squares.append(rect.width())
+        if rect.width() == 2 * zerofind._MULT_RADIUS:
+            raise ContourOnZeroError("synthetic sample on a zero")
+        return winding(ws, rect, first)
+
+    monkeypatch.setattr(zerofind, "_winding", first_square_on_a_zero)
+    ws, box = _Workspace(DOUBLE), Rect(-0.03, 0.03, -0.03, 0.03)
+    for count, claimed in ((2, True), (3, False)):
+        squares.clear()
+        assert zerofind._accounts_for(ws, 0j, count, box) is claimed
+        assert squares == [2 * zerofind._MULT_RADIUS, zerofind._MULT_RADIUS]
 
 
 def test_double_claim_raises_with_partial(monkeypatch):
