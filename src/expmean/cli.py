@@ -227,24 +227,21 @@ def render_csv(rows: list[list[Any]]) -> str:
 # result builders
 
 
-def _generators_json(gens, basis: FrequencyBasis) -> list:
-    return [_freq_to_json(g, basis) for g in gens]
-
-
 def _exact_vector_json(vec: tuple[GaussianRational, ...] | None) -> Any:
     if vec is None:
         return None
-    return [[str(p.re), str(p.im)] for p in vec]
+    return [_coeff_to_json(p, True) for p in vec]
 
 
 def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
     res = mean_value(problem.f, problem.g)
+    basis = problem.f.basis
     return {
         "A_first": res.A_first,
         "A_last": res.A_last,
         "M": res.mean,
-        "neg_generators": _generators_json(res.neg_generators, problem.f.basis),
-        "pos_generators": _generators_json(res.pos_generators, problem.f.basis),
+        "neg_generators": [_freq_to_json(g, basis) for g in res.neg_generators],
+        "pos_generators": [_freq_to_json(g, basis) for g in res.pos_generators],
         "mean_exact": _exact_vector_json(res.mean_exact),
     }
 
@@ -317,7 +314,7 @@ def cmd_laurent_check(problem: Problem, args: argparse.Namespace) -> dict:
     # series value A_n - A_1 on the image is q times the mean-value bridge
     bridge = mean_value(problem.f, problem.g).float_mean()
     residue = q * bridge
-    roots = 0j if G.is_zero() or F.exponent_span() == 0 else sum_over_roots(F, G)
+    roots = sum_over_roots(F, G)
     return {
         "q": q,
         "residue_formula_sum": residue,

@@ -106,7 +106,10 @@ def roots_nonzero(p: LaurentPolynomial) -> list[complex]:
 
 
 def sum_over_roots(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
-    """Sum of g's values, with multiplicity, over the non-zero roots of f."""
+    """Sum of g's values, with multiplicity, over the non-zero roots of f;
+    0 without a root solve when g is zero or f has a single term."""
+    if g.is_zero() or f.exponent_span() == 0:
+        return 0j
     total = 0j
     try:
         for z in roots_nonzero(f):
@@ -172,6 +175,4 @@ def mean_via_substitution(f: ExponentialSum, g: ExponentialSum) -> complex:
     sum divided by q.
     """
     F, G, q = laurent_images(f, g)
-    if G.is_zero() or F.exponent_span() == 0:
-        return 0j
     return sum_over_roots(F, G) / q

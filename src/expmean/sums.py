@@ -64,7 +64,7 @@ class FrequencyBasis:
     detection use.
     """
 
-    __slots__ = ("values", "fraction_values", "float_values", "_key_cache", "__weakref__")
+    __slots__ = ("values", "fraction_values", "float_values", "_key_cache")
 
     def __init__(self, values: Sequence[str] = ("1",)):
         if len(values) == 0:

@@ -5,17 +5,19 @@ strip |Re z| < B: once the extreme term is factored out, the remaining
 tail is < 1 in modulus beyond the strip, so the sum cannot vanish there.
 Inside the strip the zeros with |Im z| < R are isolated by recursive
 rectangle bisection driven by boundary winding counts, one generation of
-boxes at a time.  Once a box is below _BOX_DIAMETER = 0.1, damped Newton
-from its center claims it when the point it settles on stays in the box and
-carries the box's count; otherwise bisection goes on.  Each zero's
-multiplicity is the winding count of the box that claims it.  A winding
-count compares Simpson rules at doubling sample counts and takes each
-exponential once: f and f' share the generator exponentials of a contour,
-and a refined contour computes them at its new samples only.  The first
-contours of both halves of every cut in a generation are evaluated
-together, up to _BATCH_CONTOURS per evaluation, and each contour's values
-are bitwise its own; only a contour that does not settle there is refined
-alone.
+boxes at a time.  A box below _BOX_DIAMETER = 0.1 is claimed in one of two
+ways: by damped Newton from its center, when the point it settles on stays
+in the box and carries the box's count (else the box is cut again), or at
+its center, when the box cannot be cut and the center meets the residual
+bound.  A box that can be neither cut nor claimed is the subdivision's one
+failure.  Each zero's multiplicity is the winding count of the box that
+claims it.  A winding count compares Simpson rules at doubling sample
+counts and takes each exponential once: f and f' share the generator
+exponentials of a contour, and a refined contour computes them at its new
+samples only.  The first contours of both halves of every cut in a
+generation are evaluated together, up to _BATCH_CONTOURS per evaluation,
+and each contour's values are bitwise its own; only a contour that does
+not settle there is refined alone.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
@@ -388,13 +390,15 @@ def _cut_lines(box: Rect) -> Iterator[tuple[Rect, Rect]]:
                    Rect(box.re_min, box.re_max, cut, box.im_max))
 
 
-def _bisect(ws: _Workspace, boxes: list[tuple[Rect, int]]) -> list[tuple[Rect, int]]:
-    """Split each (box, count) into two halves with windings, halves in box order.
+def _bisect(ws: _Workspace, boxes: list[tuple[Rect, int]]) -> list[list[tuple[Rect, int]] | None]:
+    """The two halves of each (box, count) with their windings, in box order,
+    or None for a box that no cut line splits.
 
-    A cut is taken once both halves wind cleanly and their counts add up.
-    The first contours of every box's first cut are evaluated together (see
-    _first_levels); a half that does not settle there is refined alone, the
-    second only once the first has settled, and later cuts wind alone.
+    A cut is taken once both halves wind cleanly and their counts add up;
+    when neither the midpoint nor any jittered cut is, the box cannot be
+    cut.  The first contours of every box's first cut are evaluated together
+    (see _first_levels); a half that does not settle there is refined alone,
+    the second only once the first has settled, and later cuts wind alone.
     """
     cuts = [_cut_lines(box) for box, _ in boxes]
     firsts = [next(c, None) for c in cuts]
@@ -409,10 +413,10 @@ def _bisect(ws: _Workspace, boxes: list[tuple[Rect, int]]) -> list[tuple[Rect, i
             except (ContourTooCloseError, ContourOnZeroError):
                 continue
             if wa + wb == count:
-                out += [(a, wa), (b, wb)]
+                out.append([(a, wa), (b, wb)])
                 break
         else:
-            raise NumericalError(f"no admissible cut line found inside {box}")
+            out.append(None)
     return out
 
 
@@ -448,19 +452,16 @@ def _newton_refine(ws: _Workspace, box: Rect) -> complex | None:
 
 
 def _accounts_for(ws: _Workspace, z: complex, count: int, box: Rect) -> bool:
-    """Whether the zero at z carries the box's whole count: a square around z
-    of half-side min(_MULT_RADIUS, box diameter) must wind count times.  Six
-    squares are tried, halving the side after each failed contour; a failed
-    check says no."""
+    """Whether the zero at z carries the box's whole count: one square around
+    z of half-side min(_MULT_RADIUS, box diameter) must wind count times.  A
+    contour that fails says no, and the box is cut again."""
     if count == 1:
         return True
     r = min(_MULT_RADIUS, box.diameter())
-    for _ in range(6):
-        try:
-            return _winding(ws, Rect(z.real - r, z.real + r, z.imag - r, z.imag + r)) == count
-        except (ContourTooCloseError, ContourOnZeroError):
-            r *= 0.5
-    return False
+    try:
+        return _winding(ws, Rect(z.real - r, z.real + r, z.imag - r, z.imag + r)) == count
+    except (ContourTooCloseError, ContourOnZeroError):
+        return False
 
 
 def _position(zero: Zero) -> tuple[float, float]:
@@ -470,30 +471,29 @@ def _position(zero: Zero) -> tuple[float, float]:
 def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     """Zeros with |Im z| < height near R, plus the contour bookkeeping.
 
-    Boxes are bisected until they are below _BOX_DIAMETER = 0.1; such a
-    box is then claimed by the point Newton finds from its center when that
-    point lies in the box and accounts for the box's whole count.
-    Otherwise, as when Newton fails or leaves the box, or for a mixed
-    cluster of near-coincident but distinct zeros, bisection is the
-    fallback: the box is halved further, so each zero gets its own
-    representative.  The boxes of one depth form a generation: its small
-    boxes are tried for claims first, then every box left is cut at once
-    (see _bisect), and a generation at _MAX_DEPTH that still holds a box to
-    cut raises.  Every failure after the outer winding carries the sorted
-    claims so far as partial.  A claim's multiplicity is the winding
-    count of its box, so the multiplicities add up to the outer winding by
-    construction.
-    Two claims within _MERGE_RADIUS of each other raise: box counts cannot
-    see one zero claimed by two boxes.  So do n or more zeros, counted with
-    multiplicity, in a window of height 0.999/(a_n - a_1): a sum of n terms
-    has fewer there.
+    Boxes are bisected one generation at a time (see _bisect), and a box
+    below _BOX_DIAMETER = 0.1 can be claimed in two ways.  Before it is cut,
+    the point Newton finds from its center claims it when that point lies
+    in the box and accounts for the box's whole count; when Newton fails or
+    leaves the box, or for a mixed cluster of near-coincident but distinct
+    zeros, the box is cut further, so each zero gets its own
+    representative.  A box that cannot be cut, because no cut line is
+    admissible or its generation is at _MAX_DEPTH, is claimed at its
+    center when the center meets _RESIDUAL_TOL.  A box that can be neither
+    cut nor claimed raises, the one failure of the subdivision.  A claim's
+    multiplicity is the winding count of its box, so the multiplicities add
+    up to the outer winding by construction.
+    Two claims within _MERGE_RADIUS * min(1, 1/(a_n - a_1)) of each other
+    raise: box counts cannot see one zero claimed by two boxes.  So do n or
+    more zeros, counted with multiplicity, in a window of height
+    0.999/(a_n - a_1): a sum of n terms has fewer there.  Every failure
+    after the outer winding carries the sorted claims so far as partial.
     """
     ws, b, height = _ordinate_step(f, R)
     outer = Rect(-b, b, -height, height)
     total = _winding(ws, outer)
-    if total == 0:
-        return ZeroSearch([], b, height, 0)
-
+    vals = ws.f.freq_values()
+    span = float(vals[-1] - vals[0])
     claims: list[Zero] = []
     try:
         boxes = [(outer, total)]
@@ -507,52 +507,46 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
                     if z is not None and _accounts_for(ws, z, count, box):
                         claims.append(Zero(z, count))
                         continue
-                    if depth >= _MAX_DEPTH or box.diameter() <= 1e-10:
-                        z = box.center()
-                        if not ws.small_residual(z, _RESIDUAL_TOL):
-                            raise NumericalError(
-                                f"could not refine the zero inside {box} below the residual bound"
-                            )
-                        claims.append(Zero(z, count))
-                        continue
                 cutting.append((box, count))
             if not cutting:
                 break
-            if depth >= _MAX_DEPTH:
-                raise NumericalError("subdivision depth exhausted before isolation")
-            boxes = _bisect(ws, cutting)
-    except NumericalError as exc:  # a failed box or cut: report the zeros claimed so far
+            boxes = []
+            halves = _bisect(ws, cutting) if depth < _MAX_DEPTH else [None] * len(cutting)
+            for (box, count), pair in zip(cutting, halves):
+                z = box.center()
+                if pair is not None:
+                    boxes += pair
+                elif box.diameter() < _BOX_DIAMETER and ws.small_residual(z, _RESIDUAL_TOL):
+                    claims.append(Zero(z, count))
+                else:
+                    why = "no admissible cut line" if depth < _MAX_DEPTH else "depth exhausted"
+                    raise NumericalError(f"could not refine the zero inside {box}: {why}")
+
+        zeros = sorted(claims, key=_position)
+        radius = _MERGE_RADIUS * min(1.0, 1.0 / span)
+        for i, a in enumerate(zeros):
+            for c in zeros[i + 1:]:  # sorted by Im z: only the next few can lie within reach
+                if c.location.imag - a.location.imag > radius:
+                    break
+                if abs(c.location - a.location) <= radius:
+                    raise NumericalError(f"two boxes claim the zeros {a.location} and {c.location}")
+        # fewer than n zeros in any window of height below 1/span, with multiplicity
+        ims = [z.location.imag for z in zeros]
+        upto = list(itertools.accumulate((z.multiplicity for z in zeros), initial=0))
+        n, window = ws.f.num_terms(), 0.999 / span
+        for i, y in enumerate(ims):
+            if upto[bisect.bisect_left(ims, y + window)] - upto[i] >= n:
+                raise NumericalError(
+                    f"{n} or more zeros lie in the window of height {window:.6g} above Im z = {y}"
+                )
+        if upto[-1] != total:
+            raise NumericalError("multiplicities do not add up to the boundary winding count")
+        for z in zeros:
+            if not ws.small_residual(z.location, _RESIDUAL_TOL):
+                raise NumericalError(f"zero at {z.location} fails the residual bound")
+            if not (abs(z.location.real) < b + 1e-12 and abs(z.location.imag) < height):
+                raise NumericalError(f"refined zero {z.location} escaped the search box")
+    except NumericalError as exc:  # a box that cannot be cut or claimed, or a failed check
         exc.partial = sorted(claims, key=_position)
         raise
-
-    zeros = sorted(claims, key=_position)
-    for i, a in enumerate(zeros):
-        for c in zeros[i + 1:]:  # sorted by Im z: only the next few can lie within reach
-            if c.location.imag - a.location.imag > _MERGE_RADIUS:
-                break
-            if abs(c.location - a.location) <= _MERGE_RADIUS:
-                raise NumericalError(
-                    f"two boxes claim the zeros {a.location} and {c.location}", partial=zeros
-                )
-    # fewer than n zeros in any window of height below 1/span, with multiplicity
-    ims = [z.location.imag for z in zeros]
-    upto = list(itertools.accumulate((z.multiplicity for z in zeros), initial=0))
-    n, vals = ws.f.num_terms(), ws.f.freq_values()
-    window = 0.999 / float(vals[-1] - vals[0])
-    for i, y in enumerate(ims):
-        if upto[bisect.bisect_left(ims, y + window)] - upto[i] >= n:
-            raise NumericalError(
-                f"{n} or more zeros lie in the window of height {window:.6g} above Im z = {y}",
-                partial=zeros,
-            )
-    if upto[-1] != total:
-        raise NumericalError(
-            "multiplicities do not add up to the boundary winding count", partial=zeros
-        )
-    for z in zeros:
-        if not ws.small_residual(z.location, _RESIDUAL_TOL):
-            raise NumericalError(f"zero at {z.location} fails the residual bound", partial=zeros)
-    for z in zeros:
-        if not (abs(z.location.real) < b + 1e-12 and abs(z.location.imag) < height):
-            raise NumericalError(f"refined zero {z.location} escaped the search box", partial=zeros)
     return ZeroSearch(zeros, b, height, total)

@@ -795,10 +795,8 @@ def test_numerical_failure_reports_partial_zeros(problem_file, capsys, monkeypat
     "coeffs, R, depth, declined, message, claimed",
     [
         ([1, 1], "1", 20, lambda box: box.im_max < 0, "could not refine the zero", [(0.5, 1)]),
-        ([1, -2, 1], "1.3", 60, lambda box: box.contains(0j), "no admissible cut line",
-         [(-1.0, 2), (1.0, 2)]),
     ],
-    ids=["centre-claim", "cut-line"],
+    ids=["centre-claim"],
 )
 def test_search_failures_print_the_claims_so_far(
     problem_file, capsys, monkeypatch, coeffs, R, depth, declined, message, claimed
@@ -819,6 +817,21 @@ def test_search_failures_print_the_claims_so_far(
     got = json.loads(partial)
     assert [z["multiplicity"] for z in got] == [m for _, m in claimed]
     for z, (im, _) in zip(got, claimed):
+        assert abs(complex(z["re"], z["im"]) - 1j * im) < 1e-6
+
+
+def test_double_zero_newton_declines_is_claimed_at_a_box_centre(problem_file, capsys, monkeypatch):
+    # Newton declines every box around the double zero at 0: bisection shrinks
+    # that box until no cut line clears the zero, and the box's centre claims it
+    newton = zerofind._newton_refine
+    monkeypatch.setattr(
+        zerofind, "_newton_refine", lambda ws, box: None if box.contains(0j) else newton(ws, box)
+    )
+    path = problem_file({"f": [{"coeff": [c, 0], "freq": k} for k, c in enumerate([1, -2, 1])]})
+    assert run(["zeros", "--input", path, "--R", "1.3"]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["zeros"]
+    assert [z["multiplicity"] for z in got] == [2, 2, 2]
+    for z, im in zip(got, (-1, 0, 1)):
         assert abs(complex(z["re"], z["im"]) - 1j * im) < 1e-6
 
 

@@ -25,6 +25,7 @@ CASES = [
 ] + [
     ("two_term.zeros-R2", ["zeros", "--R", "2", "--input", "problems/two_term.json"]),
     ("double_zero.zeros-R2", ["zeros", "--R", "2", "--input", "problems/double_zero.json"]),
+    ("sqrt2.zeros-R4", ["zeros", "--R", "4", "--input", "problems/sqrt2.json"]),
     ("sqrt2.verify", ["verify", "--R-list", "1,2,3", "--input", "problems/sqrt2.json"]),
 ]
 

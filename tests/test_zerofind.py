@@ -388,8 +388,8 @@ def test_winding_calls_per_zero(monkeypatch):
 
 
 def test_centre_claims_when_newton_declines_every_box(monkeypatch):
-    # bisection goes on down to diameter 1e-10, where a box's centre is
-    # claimed once it meets the residual bound
+    # bisection goes on to the generation at _MAX_DEPTH, which cuts no box:
+    # a box's centre is claimed there once it meets the residual bound
     monkeypatch.setattr(zerofind, "_newton_refine", lambda ws, box: None)
     monkeypatch.setattr(zerofind, "_MAX_DEPTH", 70)
     zs = search_zeros(TWO_TERM, 1.0).zeros
@@ -398,22 +398,48 @@ def test_centre_claims_when_newton_declines_every_box(monkeypatch):
         assert abs(z.location - e) < 1e-9
 
 
-def test_multiplicity_square_on_a_zero_is_halved(monkeypatch):
-    # the first square's contour sits on a zero: the halved square decides the claim
-    winding, squares = zerofind._winding, []
+def test_failed_multiplicity_square_sends_the_box_back_to_bisection(monkeypatch):
+    # the first square's contour sits on a zero: that one square says no, its
+    # box is cut again, and a half still claims the double zero
+    winding, squares, cut = zerofind._winding, [], []
 
     def first_square_on_a_zero(ws, rect, first=None):
-        squares.append(rect.width())
         if rect.width() == 2 * zerofind._MULT_RADIUS:
-            raise ContourOnZeroError("synthetic sample on a zero")
+            squares.append(rect.center())
+            if len(squares) == 1:
+                raise ContourOnZeroError("synthetic sample on a zero")
         return winding(ws, rect, first)
 
+    halve = zerofind._bisect
     monkeypatch.setattr(zerofind, "_winding", first_square_on_a_zero)
-    ws, box = _Workspace(DOUBLE), Rect(-0.03, 0.03, -0.03, 0.03)
-    for count, claimed in ((2, True), (3, False)):
-        squares.clear()
-        assert zerofind._accounts_for(ws, 0j, count, box) is claimed
-        assert squares == [2 * zerofind._MULT_RADIUS, zerofind._MULT_RADIUS]
+    monkeypatch.setattr(zerofind, "_bisect", lambda ws, bs: cut.extend(bs) or halve(ws, bs))
+    assert not zerofind._accounts_for(_Workspace(DOUBLE), 0j, 2, Rect(-0.03, 0.03, -0.03, 0.03))
+    assert len(squares) == 1
+    squares.clear()
+    zs = search_zeros(DOUBLE, 0.6).zeros
+    assert [z.multiplicity for z in zs] == [2]
+    assert abs(zs[0].location) < 1e-6
+    assert len(squares) == 2
+    # the box whose square failed is cut although it is below 0.1
+    assert any(b.diameter() < zerofind._BOX_DIAMETER and b.contains(squares[0]) for b, _ in cut)
+
+
+def test_box_neither_cut_nor_claimed_raises_with_partial(monkeypatch):
+    # Newton declines the boxes around 0.5j, and one below 0.01 has no cut
+    # line while its centre fails the residual bound: the one failure of the
+    # subdivision, after the zero at -0.5j is claimed
+    newton, cut_lines = zerofind._newton_refine, zerofind._cut_lines
+    monkeypatch.setattr(
+        zerofind, "_newton_refine", lambda ws, box: None if box.contains(0.5j) else newton(ws, box)
+    )
+    monkeypatch.setattr(
+        zerofind, "_cut_lines",
+        lambda box: iter(()) if box.contains(0.5j) and box.diameter() < 0.01 else cut_lines(box),
+    )
+    with pytest.raises(NumericalError, match="no admissible cut line") as exc:
+        search_zeros(TWO_TERM, 1.0)
+    [zero] = exc.value.partial
+    assert zero.multiplicity == 1 and abs(zero.location + 0.5j) < 1e-9
 
 
 def test_double_claim_raises_with_partial(monkeypatch):
@@ -423,6 +449,18 @@ def test_double_claim_raises_with_partial(monkeypatch):
     with pytest.raises(NumericalError, match="two boxes claim") as exc:
         search_zeros(TWO_TERM, 1.0)
     assert exc.value.partial == [Zero(0.5j, 1), Zero(0.5j, 1)]
+
+
+@pytest.mark.parametrize(
+    "s, R, n", [(2 * 10**7, 1e-7, 4), (10**8, 3e-8, 6), (10**10, 2e-9, 40), (10**10, 2e-8, 400)]
+)
+def test_zeros_closer_than_the_merge_radius_are_not_refused(s, R, n):
+    # 1 + e(s z) has simple zeros at i(k + 1/2)/s, 1/s < 1e-7 apart: none is
+    # taken for a double claim, as the merge radius scales with 1/(a_n - a_1)
+    zs = search_zeros(exp_sum([(1, 0), (1, s)]), R).zeros
+    assert [z.multiplicity for z in zs] == [1] * n
+    for z, k in zip(zs, range(-n // 2, n // 2)):
+        assert abs(z.location - 1j * (k + 0.5) / s) < 1e-9 / s
 
 
 @settings(max_examples=20)
