@@ -12,9 +12,10 @@ follow from the power-series inversion recurrence in one pass outward from
 frequency zero.  Only the finitely many terms within the frequency reach of
 g * f' can meet it at frequency 0, so the constant term is well defined.
 The pass walks an integer lattice, each coordinate counted in units of its
-common denominator, with plain complex or Gaussian-rational coefficients,
-and raises ResourceLimitError once it has queued more than
-_MAX_SERIES_TERMS points.
+common denominator and each point keyed by one int, with complex
+coefficients in float mode and Gaussian-integer numerators over powers of
+one common denominator in exact mode, and raises ResourceLimitError once it
+has queued more than _MAX_SERIES_TERMS points.
 The mean value of g over the zeros of f, per unit height of a widening
 horizontal window, is
 
@@ -38,7 +39,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import InputError, NumericalError, ResourceLimitError
 from .exact import GR_ONE, GR_ZERO, GaussianRational
@@ -63,7 +64,7 @@ _MAX_SERIES_TERMS = 100_000
 
 
 def _as_cutoff(c: CutoffLike) -> Fraction:
-    if not isinstance(c, (int, float, str, Fraction)):
+    if isinstance(c, bool) or not isinstance(c, (int, float, str, Fraction)):
         raise InputError(f"not a cutoff value: {c!r}")
     try:
         cut = Fraction(c)  # rejects NaN, infinities and malformed strings
@@ -104,6 +105,41 @@ class MeanValueResult:
         return self.mean
 
 
+def _walk(moves: list[tuple[int, int]], int_cut: int) -> Iterator[tuple[int, int]]:
+    """Lattice points other than zero within int_cut of it, as (distance, key).
+
+    moves are the steps as (key, distance > 0).  Points come out in order of
+    distance, ties in order of key, each before its successors are queued, so
+    a caller that raises on a point does so before the budget is checked on
+    the points after it.
+    """
+    queued = {0}
+    heap = [(0, 0)]
+    while heap:
+        dist, key = heapq.heappop(heap)
+        if dist:
+            yield dist, key
+        for move, step in moves:
+            if dist + step <= int_cut and (nxt := key + move) not in queued:
+                queued.add(nxt)
+                if len(queued) > _MAX_SERIES_TERMS:
+                    raise ResourceLimitError(
+                        f"reciprocal series exceeded its budget of {_MAX_SERIES_TERMS} terms"
+                    )
+                heapq.heappush(heap, (dist + step, nxt))
+
+
+def _keep(kept: list, dist: int, key: int, value) -> None:
+    """Append a nonzero term; kept terms come in order of distance, so two at
+    one distance are two frequency vectors with one numeric value."""
+    if dist == kept[-1][0]:
+        raise InputError(
+            "distinct frequency vectors share one numeric value; "
+            "the declared basis is not Q-linearly independent"
+        )
+    kept.append((dist, key, value))
+
+
 def truncated_reciprocal(
     ftilde: ExponentialSum, end: End, cutoff: CutoffLike
 ) -> TruncatedSeries:
@@ -122,78 +158,109 @@ def truncated_reciprocal(
     The pass runs on an integer lattice: coordinate i is counted in units
     of 1/den[i], the common denominator of the betas' i-th coordinates, and
     distance in units of 1/scale, the common denominator of the basis
-    values over den, so points are int tuples and distances ints.  The
-    recurrence runs on plain complex or Gaussian-rational scalars.  The
-    terms come out in order of distance, so two nonzero ones at one
-    distance mean the basis is not Q-linearly independent.  Queuing more
-    than _MAX_SERIES_TERMS points raises ResourceLimitError; float mode
-    raises NumericalError once a coefficient overflows.
+    values over den, so distances are ints.  A point is one int key, its
+    coordinates as balanced digits in radix 2*lim + 1 with coordinate 0
+    leading, where every point the pass reaches or looks up has coordinates
+    in [-lim, lim]: a step is one int add, a lookup one int-keyed dict get,
+    and keys order as the coordinate tuples do.  Float mode runs the
+    recurrence on complex numbers, adding the betas in the order of
+    ftilde's terms.  Exact mode runs it on Gaussian-integer numerators
+    s_alpha = r_alpha * D**level(alpha), where D is the common denominator
+    of the c_beta and level = distance // (smallest beta distance): a step
+    raises the level by at least one, so
+
+        s_alpha = sum_beta (D * -c_beta) * D**(level(alpha) - level(alpha - beta) - 1)
+                  * s_(alpha - beta)
+
+    needs int arithmetic only, and a GaussianRational is built for each
+    kept term alone.  The terms come out in order of distance, so two
+    nonzero ones at one distance mean the basis is not Q-linearly
+    independent.  Queuing more than _MAX_SERIES_TERMS points raises
+    ResourceLimitError; float mode raises NumericalError once a coefficient
+    overflows.
     """
     cut = _as_cutoff(cutoff)
     basis = ftilde.basis
     n = len(basis)
-    zero_freq = Frequency((Fraction(0),) * n)
-    one = ftilde.coefficient_at(zero_freq)
+    one = ftilde.coefficient_at(Frequency((Fraction(0),) * n))
     if one != (GR_ONE if ftilde.exact else 1):
         raise InputError("reciprocal expansion requires a constant term equal to one")
-    zero = GR_ZERO if ftilde.exact else 0j
     sign = 1 if end is End.FIRST else -1
     den = [math.lcm(*(t.freq.coords[i].denominator for t in ftilde.terms)) for i in range(n)]
     units = [b / d for b, d in zip(basis.fraction_values, den)]
     scale = math.lcm(*(u.denominator for u in units))
-    weights = [sign * int(u * scale) for u in units]
+    weights = [sign * u.numerator * (scale // u.denominator) for u in units]
     int_cut = math.floor(cut * scale)
     steps = []  # (beta on the lattice, its distance from zero, -c_beta)
     for t in ftilde.terms:
-        beta = tuple(int(q * d) for q, d in zip(t.freq.coords, den))
+        beta = tuple(q.numerator * (d // q.denominator) for q, d in zip(t.freq.coords, den))
         dist = sum(w * b for w, b in zip(weights, beta))
         if dist < 0:
             raise InputError(f"{end.value}-end expansion given a frequency past its end")
         if 0 < dist <= int_cut:
             steps.append((beta, dist, -t.coeff))
 
-    coeffs: dict[tuple[int, ...], Union[complex, GaussianRational]] = {}
-    kept = []  # (alpha, r_alpha) for r_alpha != 0, in order of distance
-    kept_dist = None
-    origin = (0,) * n
-    queued = {origin}
-    heap = [(0, origin)]
-    while heap:
-        dist, alpha = heapq.heappop(heap)
-        if coeffs:
-            r = zero
-            for beta, _, neg_c in steps:
-                prev = coeffs.get(tuple(a - b for a, b in zip(alpha, beta)))
+    # a reached point is at most int_cut // least steps from zero, so it and
+    # the points one step behind it have coordinates in [-lim, lim]
+    least = min((dist for _, dist, _ in steps), default=1)
+    lim = (int_cut // least + 1) * max((abs(b) for beta, _, _ in steps for b in beta), default=0)
+    radix = 2 * lim + 1
+    moves = [(sum(b * radix ** (n - 1 - i) for i, b in enumerate(beta)), dist)
+             for beta, dist, _ in steps]
+    if ftilde.exact:
+        denom = math.lcm(*(p.denominator for _, _, c in steps for p in (c.re, c.im)))
+        recur = []  # (move, its level gap g, D * -c_beta times D**(g - 1) and D**g)
+        for (move, dist), (_, _, c) in zip(moves, steps):
+            gap = dist // least
+            re, im = (p.numerator * (denom // p.denominator) for p in (c.re, c.im))
+            recur.append((move, gap, tuple((re * denom**k, im * denom**k) for k in (gap - 1, gap))))
+        coeffs = {0: (1, 0, 0)}  # key: (Re s_alpha, Im s_alpha, level(alpha))
+        kept = [(0, 0, coeffs[0])]  # (distance, key, value) of each nonzero term
+        get = coeffs.get
+        for dist, key in _walk(moves, int_cut):
+            level = dist // least
+            re = im = 0
+            for move, gap, mults in recur:
+                prev = get(key - move)
+                if prev is not None:
+                    pre, pim, plevel = prev
+                    ar, ai = mults[level - plevel - gap]
+                    re += ar * pre - ai * pim
+                    im += ar * pim + ai * pre
+            coeffs[key] = s = (re, im, level)
+            if re or im:
+                _keep(kept, dist, key, s)
+        kept = [(dist, key, GaussianRational(Fraction(re, denom**level),
+                                             Fraction(im, denom**level)))
+                for dist, key, (re, im, level) in kept]
+    else:
+        recur = [(move, c) for (move, _), (_, _, c) in zip(moves, steps)]
+        coeffs = {0: one}
+        kept = [(0, 0, one)]
+        get = coeffs.get
+        for dist, key in _walk(moves, int_cut):
+            r = 0j
+            for move, neg_c in recur:
+                prev = get(key - move)
                 if prev is not None:
                     r = r + neg_c * prev
-        else:
-            r = one
-        if not ftilde.exact and not cmath.isfinite(r):
-            raise NumericalError("reciprocal series overflowed in float mode; use exact mode")
-        coeffs[alpha] = r
-        if r != zero:
-            if dist == kept_dist:
-                raise InputError(
-                    "distinct frequency vectors share one numeric value; "
-                    "the declared basis is not Q-linearly independent"
-                )
-            kept.append((alpha, r))
-            kept_dist = dist
-        for beta, step, _ in steps:
-            nxt = tuple(a + b for a, b in zip(alpha, beta))
-            if nxt not in queued and dist + step <= int_cut:
-                queued.add(nxt)
-                if len(queued) > _MAX_SERIES_TERMS:
-                    raise ResourceLimitError(
-                        f"reciprocal series exceeded its budget of {_MAX_SERIES_TERMS} terms"
-                    )
-                heapq.heappush(heap, (dist + step, nxt))
+            if not cmath.isfinite(r):
+                raise NumericalError("reciprocal series overflowed in float mode; use exact mode")
+            coeffs[key] = r
+            if r:
+                _keep(kept, dist, key, r)
     if end is End.LAST:
         kept.reverse()
-    terms = tuple(
-        ExpTerm(r, Frequency(tuple(Fraction(a, d) for a, d in zip(alpha, den))))
-        for alpha, r in kept
-    )
+
+    def frequency(key: int) -> Frequency:
+        digits = []  # coordinate n - 1 first
+        for _ in range(n):
+            digit = (key + lim) % radix - lim
+            digits.append(digit)
+            key = (key - digit) // radix
+        return Frequency(tuple(Fraction(a, d) for a, d in zip(reversed(digits), den)))
+
+    terms = tuple(ExpTerm(r, frequency(key)) for _, key, r in kept)
     return TruncatedSeries(ExponentialSum(terms, basis, ftilde.exact))
 
 

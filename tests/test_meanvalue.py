@@ -1,5 +1,6 @@
 """Tests for the constant-term pipeline and the mean-value identities."""
 
+import cmath
 import heapq
 import math
 import random
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmean import meanvalue
-from expmean.errors import InputError, ResourceLimitError
-from expmean.exact import GaussianRational, GR_ZERO
+from expmean.errors import InputError, NumericalError, ResourceLimitError
+from expmean.exact import GR_ZERO, GaussianRational
 from expmean.meanvalue import (
     MeanValueResult,
     _a_value,
@@ -97,7 +98,9 @@ def test_reciprocal_rejects_wrong_side_frequencies():
         truncated_reciprocal(exp_sum([(1, 0), (1, 1)]), End.LAST, 1)
 
 
-@pytest.mark.parametrize("cutoff", [-3, Fraction(-1, 2), "-1", math.inf, math.nan, "1/0"])
+@pytest.mark.parametrize(
+    "cutoff", [-3, Fraction(-1, 2), "-1", math.inf, math.nan, "1/0", True, False]
+)
 def test_reciprocal_rejects_negative_or_non_finite_cutoff(cutoff):
     with pytest.raises(InputError, match="cutoff"):
         truncated_reciprocal(exp_sum([(1, 0), (1, 1)]), End.FIRST, cutoff)
@@ -200,6 +203,154 @@ def test_reciprocal_series_budget(monkeypatch):
     assert truncated_reciprocal(ftilde, End.FIRST, 9).sum.num_terms() == 10
     with pytest.raises(ResourceLimitError):
         truncated_reciprocal(ftilde, End.FIRST, 10)
+
+
+def _reference_lattice_walk(ftilde, end, cut):
+    """The walk on int-tuple lattice points, with complex or GaussianRational
+    recurrence scalars, that the int-keyed walk replaced."""
+    basis = ftilde.basis
+    n = len(basis)
+    one = ftilde.coefficient_at(Frequency((Fraction(0),) * n))
+    zero = GR_ZERO if ftilde.exact else 0j
+    sign = 1 if end is End.FIRST else -1
+    den = [math.lcm(*(t.freq.coords[i].denominator for t in ftilde.terms)) for i in range(n)]
+    units = [b / d for b, d in zip(basis.fraction_values, den)]
+    scale = math.lcm(*(u.denominator for u in units))
+    weights = [sign * int(u * scale) for u in units]
+    int_cut = math.floor(cut * scale)
+    steps = []
+    for t in ftilde.terms:
+        beta = tuple(int(q * d) for q, d in zip(t.freq.coords, den))
+        dist = sum(w * b for w, b in zip(weights, beta))
+        if 0 < dist <= int_cut:
+            steps.append((beta, dist, -t.coeff))
+    coeffs = {}
+    kept = []
+    kept_dist = None
+    origin = (0,) * n
+    queued = {origin}
+    heap = [(0, origin)]
+    while heap:
+        dist, alpha = heapq.heappop(heap)
+        if coeffs:
+            r = zero
+            for beta, _, neg_c in steps:
+                prev = coeffs.get(tuple(a - b for a, b in zip(alpha, beta)))
+                if prev is not None:
+                    r = r + neg_c * prev
+        else:
+            r = one
+        if not ftilde.exact and not cmath.isfinite(r):
+            raise NumericalError("reciprocal series overflowed in float mode; use exact mode")
+        coeffs[alpha] = r
+        if r != zero:
+            if dist == kept_dist:
+                raise InputError(
+                    "distinct frequency vectors share one numeric value; "
+                    "the declared basis is not Q-linearly independent"
+                )
+            kept.append((alpha, r))
+            kept_dist = dist
+        for beta, step, _ in steps:
+            nxt = tuple(a + b for a, b in zip(alpha, beta))
+            if nxt not in queued and dist + step <= int_cut:
+                queued.add(nxt)
+                if len(queued) > meanvalue._MAX_SERIES_TERMS:
+                    budget = meanvalue._MAX_SERIES_TERMS
+                    raise ResourceLimitError(
+                        f"reciprocal series exceeded its budget of {budget} terms"
+                    )
+                heapq.heappush(heap, (dist + step, nxt))
+    if end is End.LAST:
+        kept.reverse()
+    return [(r, Frequency(tuple(Fraction(a, d) for a, d in zip(alpha, den)))) for alpha, r in kept]
+
+
+def _walk_outcome(walk, ftilde, end, cut):
+    """The terms in order, float coefficients by their bits, or the error raised."""
+    try:
+        terms = walk(ftilde, end, cut)
+    except (InputError, NumericalError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    if ftilde.exact:
+        return terms
+    return [((c.real.hex(), c.imag.hex()), q) for c, q in terms]
+
+
+def _int_keyed_walk(ftilde, end, cut):
+    return [(t.coeff, t.freq) for t in truncated_reciprocal(ftilde, end, cut).sum.terms]
+
+
+ORACLE_COORDS = sorted({Fraction(k, d) for k in range(-2, 3) for d in (1, 2, 3)})
+ORACLE_BASES = [FrequencyBasis(("1",)), FrequencyBasis(("1", SQRT2)), BASIS3]
+
+
+def _seeded_ftilde(seed, basis, end, exact):
+    """1 plus 3-5 terms whose coordinates are in ORACLE_COORDS and values in
+    [1/4, 1] (mirrored for LAST), with Gaussian-rational coefficients."""
+    rng = random.Random(seed)
+    sign = 1 if end is End.FIRST else -1
+    pairs = {(0,) * len(basis): (1, 0)}
+    want = 1 + rng.randint(3, 5)
+    while len(pairs) < want:
+        v = tuple(rng.choice(ORACLE_COORDS) for _ in basis.values)
+        if Fraction(1, 4) <= basis.value_key(Frequency(v)) <= 1:
+            pairs[v] = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) or Fraction(1),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return exp_sum([(c, tuple(sign * q for q in v)) for v, c in pairs.items()], basis, exact)
+
+
+ORACLE_CASES = [
+    (seed, basis, end, exact)
+    for seed in range(3)
+    for basis in ORACLE_BASES
+    for end in (End.FIRST, End.LAST)
+    for exact in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "seed, basis, end, exact",
+    ORACLE_CASES,
+    ids=[f"s{s}-n{len(b)}-{e.value}-{'exact' if x else 'float'}" for s, b, e, x in ORACLE_CASES],
+)
+def test_int_keyed_walk_matches_tuple_keyed_walk(seed, basis, end, exact):
+    ftilde = _seeded_ftilde(seed, basis, end, exact)
+    cut = Fraction(4 + seed)
+    out = _walk_outcome(_int_keyed_walk, ftilde, end, cut)
+    assert out == _walk_outcome(_reference_lattice_walk, ftilde, end, cut)
+    assert len(out) > 20
+
+
+@pytest.mark.parametrize("end", [End.FIRST, End.LAST])
+@pytest.mark.parametrize("exact", [True, False])
+def test_int_keyed_walk_negative_coordinates(end, exact):
+    # sqrt2 - 1 over {1, sqrt2} steps back along coordinate 0, and the
+    # coefficients' denominators are 6, 35 and 5
+    sign = 1 if end is End.FIRST else -1
+    pairs = [((1, 0), (0, 0)), ((Fraction(-1, 2), Fraction(1, 3)), (-sign, sign)),
+             ((Fraction(2, 7), Fraction(-3, 5)), (sign, 0)), ((Fraction(4, 5), 0), (0, sign))]
+    ftilde = exp_sum(pairs, FrequencyBasis(("1", SQRT2)), exact)
+    out = _walk_outcome(_int_keyed_walk, ftilde, end, 8)
+    assert out == _walk_outcome(_reference_lattice_walk, ftilde, end, 8)
+    assert any(min(q.coords) < 0 < max(q.coords) for _, q in out)
+    assert len(out) > 50
+
+
+def test_int_keyed_walk_raises_as_tuple_keyed_walk(monkeypatch):
+    def raised(ftilde, cut):
+        out = _walk_outcome(_int_keyed_walk, ftilde, End.FIRST, cut)
+        assert out == _walk_outcome(_reference_lattice_walk, ftilde, End.FIRST, cut)
+        return out[0]
+
+    # with basis (1, 2) the points (2, 0) and (0, 1) both sit at 2
+    pairs = [(1, (0, 0)), (1, (1, 0)), (1, (0, 1))]
+    for exact in (True, False):
+        assert raised(exp_sum(pairs, FrequencyBasis(("1", "2")), exact), 2) is InputError
+    assert raised(exp_sum([(1, 0), (1e200, 1)]), 3) is NumericalError
+    monkeypatch.setattr(meanvalue, "_MAX_SERIES_TERMS", 50)
+    steps = exp_sum([(1, (0, 0)), (1, (1, 0)), (1, (-1, 1))], FrequencyBasis(("1", SQRT2)), True)
+    assert raised(steps, 20) is ResourceLimitError
 
 
 # ------------------------------------------------------------ constant term
