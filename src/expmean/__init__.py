@@ -20,8 +20,6 @@ from .exact import GaussianRational, as_fraction
 from .laurent import (
     LaurentPolynomial,
     laurent_images,
-    mean_via_substitution,
-    residue_formula_sum,
     roots_nonzero,
     sum_over_roots,
 )
@@ -49,7 +47,6 @@ from .sums import (
     multiply,
     normalize,
     one_sum,
-    reflect,
 )
 from .verify import (
     ConvergenceReport,
@@ -79,8 +76,6 @@ __all__ = [
     "as_fraction",
     "LaurentPolynomial",
     "laurent_images",
-    "mean_via_substitution",
-    "residue_formula_sum",
     "roots_nonzero",
     "sum_over_roots",
     "MeanValueResult",
@@ -104,7 +99,6 @@ __all__ = [
     "multiply",
     "normalize",
     "one_sum",
-    "reflect",
     "ConvergenceReport",
     "ReportRow",
     "convergence_report",

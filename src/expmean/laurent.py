@@ -3,32 +3,29 @@
 For a Laurent polynomial f the sum of g over the zeros of f away from the
 origin equals A_n - A_1, where A_1 is the coefficient of 1/z in the series
 expansion of g*f'/f in ascending powers and A_n is the same coefficient in
-descending powers.  The module computes that sum two independent ways:
-
-* through the series engine, as ``mean_value`` of the exponential images
-  under z = exp(2*pi*w): the exponential derivative carries the factor of z
-  that turns each 1/z coefficient into 1/(2*pi) times a constant term, so
-  A_n - A_1 is the images' mean value, and
-* by locating the roots numerically and adding up g's values.
+descending powers.  Under w = exp(2*pi*z/q) an exponential sum with
+rational frequencies of common denominator q becomes such a polynomial:
+``laurent_images`` builds the images, and ``sum_over_roots`` locates their
+roots numerically and adds up g's values.  The series value is formed
+elsewhere, by the ``laurent-check`` command, as q * ``mean_value(f, g)``;
+agreement between that and the root sum is the main correctness oracle
+for the series engine on commensurate frequencies.
 
 The root solve returns every root as often as its multiplicity, so the sum
 needs no multiplicities and never has to tell a multiple root from a
-cluster of close simple ones.  Agreement between the two routes is the main
-correctness oracle for the series engine on commensurate frequencies.
+cluster of close simple ones.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InputError, NumericalError, ResourceLimitError
-from .meanvalue import mean_value
-from .sums import DEFAULT_BASIS, ExponentialSum, exp_sum
+from .sums import ExponentialSum
 
 # np.roots builds a companion matrix of this order: at 1024 it takes about
 # 4 s on one core and 16 MB, and the cost grows with the cube of the degree
@@ -119,26 +116,6 @@ def sum_over_roots(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
     return total
 
 
-def _exp_image(p: LaurentPolynomial) -> ExponentialSum:
-    return exp_sum([(c, Fraction(k)) for k, c in p.terms.items()], DEFAULT_BASIS)
-
-
-def residue_formula_sum(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
-    """A_n - A_1: the series-engine value of the sum of g over f's roots,
-    the mean value of g's exponential image over the zeros of f's."""
-    if f.is_zero():
-        raise InputError("series expansion requires a non-zero denominator")
-    if g.is_zero():
-        return 0j
-    try:
-        return mean_value(_exp_image(f), _exp_image(g)).mean
-    except NumericalError as exc:
-        # the float-mode advice of the series engine does not apply here
-        raise NumericalError(
-            "residue route overflowed: the Laurent routes run on double-precision images"
-        ) from exc
-
-
 def laurent_images(
     f: ExponentialSum, g: ExponentialSum
 ) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
@@ -165,14 +142,3 @@ def laurent_images(
         return LaurentPolynomial(terms)
 
     return to_laurent(f), to_laurent(g), q
-
-
-def mean_via_substitution(f: ExponentialSum, g: ExponentialSum) -> complex:
-    """Mean value for rational frequencies through the algebraic case.
-
-    Each root of the image polynomial contributes a vertical progression
-    of zeros with density 1/q per unit height, so the mean is the root
-    sum divided by q.
-    """
-    F, G, q = laurent_images(f, g)
-    return sum_over_roots(F, G) / q

@@ -211,9 +211,6 @@ class ExponentialSum:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def frequencies(self) -> list[Frequency]:
-        return [t.freq for t in self.terms]
-
     def freq_values(self) -> list[Fraction]:
         return [self.basis.value_key(t.freq) for t in self.terms]
 
@@ -451,8 +448,3 @@ def divide_by_extreme_term(f: ExponentialSum, end: End) -> ExponentialSum:
         ExpTerm(one if t is ext else t.coeff / ext.coeff, t.freq - ext.freq) for t in f.terms
     ]
     return normalize(out, f.basis, exact=f.exact)
-
-
-def reflect(f: ExponentialSum) -> ExponentialSum:
-    """The sum representing z -> f(-z): every frequency negated."""
-    return normalize([ExpTerm(t.coeff, -t.freq) for t in f.terms], f.basis, exact=f.exact)

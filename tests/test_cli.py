@@ -118,6 +118,7 @@ def test_parse_problem_rejects_bad_documents():
         {"f": [{"coeff": [1, 0], "freq": True}]},
         {"f": [{"coeff": [1, 0], "freq": 1.5}]},
         {"f": [{"coeff": [1, 0], "freq": [0.5]}]},
+        {"f": {"coeff": [1, 0], "freq": "0"}},
     ]
     for doc in bad:
         with pytest.raises(InputError):
@@ -674,6 +675,12 @@ _BEYOND_DOUBLE = {
             "g": [{"coeff": [1, 0], "freq": "2001"}],
         },
         ["laurent-check"], 3, "root sum does not fit a double",
+    ),
+    # the mean of g = 1e308 over the zeros of 1 + e(z) is 1e308, but the
+    # constant terms carry a factor 2 pi and overflow on the way
+    "float-mean": (
+        {"f": [{"coeff": [1, 0], "freq": "0"}, _ONE_TERM], "g": [{"coeff": [1e308, 0], "freq": "0"}]},
+        ["mean", "verify", "laurent-check"], 3, "mean value is not finite in double precision",
     ),
 }
 

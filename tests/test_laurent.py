@@ -1,4 +1,6 @@
-"""Tests for the Laurent-polynomial oracle and the rational-frequency bridge."""
+"""Tests for the Laurent images and their root route, and for the two
+values laurent-check compares: the series sum A_n - A_1 against the root
+sum, and the mean value against the root sum over q."""
 
 import cmath
 import math
@@ -8,15 +10,10 @@ from fractions import Fraction
 import pytest
 
 from expmean.errors import InputError, NumericalError, ResourceLimitError
-from expmean.laurent import (
-    LaurentPolynomial,
-    mean_via_substitution,
-    residue_formula_sum,
-    roots_nonzero,
-    sum_over_roots,
-)
+from expmean.laurent import LaurentPolynomial, roots_nonzero, sum_over_roots
 from expmean.meanvalue import mean_value
 from expmean.sums import FrequencyBasis, exp_sum
+from laurent_routes import root_mean, series_sum
 
 SQRT2 = "1.41421356237309504880168872421"
 
@@ -113,7 +110,7 @@ def test_root_sum_beyond_double_range_is_numerical_error():
     with pytest.raises(NumericalError):
         sum_over_roots(LaurentPolynomial({0: -4, 2: 1}), LaurentPolynomial({2000: 1}))
     with pytest.raises(NumericalError):
-        mean_via_substitution(exp_sum([(-4, 0), (1, 2)]), exp_sum([(1, 2000)]))
+        root_mean(exp_sum([(-4, 0), (1, 2)]), exp_sum([(1, 2000)]))
 
 
 def test_residue_end_coefficients_quadratic():
@@ -124,14 +121,14 @@ def test_residue_end_coefficients_quadratic():
     a1, an = res.A_first / (2 * math.pi), res.A_last / (2 * math.pi)
     assert abs(a1) < 1e-12
     assert abs(an - 3) < 1e-12
-    assert abs(residue_formula_sum(f, g) - 3) < 1e-12
+    assert abs(series_sum(f, g) - 3) < 1e-12
 
 
 def test_residue_formula_g_one_counts_roots():
     rng = random.Random(5)
     for _ in range(30):
         f = random_laurent(rng)
-        got = residue_formula_sum(f, LaurentPolynomial({0: 1}))
+        got = series_sum(f, LaurentPolynomial({0: 1}))
         assert abs(got - f.exponent_span()) < 1e-9
 
 
@@ -141,7 +138,7 @@ def test_residue_matches_root_sum_random():
         f = random_laurent(rng)
         g = random_laurent(rng, span=3)
         direct = sum_over_roots(f, g)
-        series = residue_formula_sum(f, g)
+        series = series_sum(f, g)
         assert abs(series - direct) < 1e-8, (f, g, series, direct)
 
 
@@ -152,30 +149,30 @@ def test_residue_matches_root_sum_degree_nine():
     f = LaurentPolynomial(dict(enumerate(coeffs)))
     g = LaurentPolynomial({1: 1, -1: 1})
     assert len(roots_nonzero(f)) == 9
-    assert abs(residue_formula_sum(f, g) - 2j) < 1e-12
-    assert abs(sum_over_roots(f, g) - residue_formula_sum(f, g)) < 1e-12
+    assert abs(series_sum(f, g) - 2j) < 1e-12
+    assert abs(sum_over_roots(f, g) - series_sum(f, g)) < 1e-12
 
 
 def test_substitution_examples():
     f = exp_sum([(6, 0), (-5, 1), (1, 2)])
     g = exp_sum([(1, 1)])
-    assert abs(mean_via_substitution(f, g) - 5) < 1e-9
+    assert abs(root_mean(f, g) - 5) < 1e-9
     f2 = exp_sum([(1, 0), (1, 1)])
-    assert abs(mean_via_substitution(f2, exp_sum([(1, 0)])) - 1) < 1e-12
+    assert abs(root_mean(f2, exp_sum([(1, 0)])) - 1) < 1e-12
     f3 = exp_sum([(1, 0), (1, "1/2")])
-    assert abs(mean_via_substitution(f3, exp_sum([(1, 0)])) - 0.5) < 1e-12
+    assert abs(root_mean(f3, exp_sum([(1, 0)])) - 0.5) < 1e-12
 
 
 def test_substitution_rejects_irrational_basis():
     basis = FrequencyBasis(("1", SQRT2))
     f = exp_sum([(1, (0, 0)), (1, (0, 1))], basis)
     with pytest.raises(InputError):
-        mean_via_substitution(f, exp_sum([(1, (0, 0))], basis))
+        root_mean(f, exp_sum([(1, (0, 0))], basis))
 
 
 def test_substitution_zero_g():
     f = exp_sum([(1, 0), (1, 1)])
-    assert mean_via_substitution(f, exp_sum([])) == 0
+    assert root_mean(f, exp_sum([])) == 0
 
 
 def test_bridge_identity_random():
@@ -194,5 +191,5 @@ def test_bridge_identity_random():
         f = exp_sum(fpairs)
         g = exp_sum(gpairs)
         lhs = mean_value(f, g).mean
-        rhs = mean_via_substitution(f, g)
+        rhs = root_mean(f, g)
         assert abs(lhs - rhs) < 1e-9, (f, g, lhs, rhs)

@@ -35,12 +35,16 @@ from expmean.sums import (
     multiply,
     normalize,
     one_sum,
-    reflect,
 )
 
 SQRT2 = "1.41421356237309504880168872421"
 SQRT3 = "1.73205080756887729352744634151"
 BASIS3 = FrequencyBasis(("1", SQRT2, SQRT3))
+
+
+def reflect(f: ExponentialSum) -> ExponentialSum:
+    """The sum representing z -> f(-z): every frequency negated."""
+    return normalize([ExpTerm(t.coeff, -t.freq) for t in f.terms], f.basis, exact=f.exact)
 
 
 def random_exact_sum(rng, max_terms=5, spread=8):

@@ -13,9 +13,10 @@ SRC = Path(expmean.__file__).parent
 
 # wrappers that repeated another public path, the search's retired settings
 # class, the retired exact coefficient ring, helpers that only tests read
-# (semigroup membership, the window scan, two aliases) and the per-end
-# constant terms that mean_value's A_first and A_last give, all gone from
-# the public surface
+# (semigroup membership, the window scan, two aliases, reflection), the
+# per-end constant terms that mean_value's A_first and A_last give, and the
+# Laurent module's series route and root-mean wrapper, all gone from the
+# public surface
 RETIRED = (
     "winding_count",
     "default_window",
@@ -30,6 +31,9 @@ RETIRED = (
     "laurent",
     "residue_end_coefficient",
     "constant_term_A",
+    "mean_via_substitution",
+    "residue_formula_sum",
+    "reflect",
 )
 
 
@@ -62,6 +66,14 @@ def test_modules_use_every_import():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read, f"{path.name} never reads {sorted(imported - read)}"
+
+
+def test_laurent_root_route_stays_off_the_series_engine():
+    # laurent-check sets the series value beside the root sum; the root
+    # route must not come to depend on the series engine it checks
+    tree = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
+    local = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+    assert local == {"errors", "sums"}
 
 
 def test_one_version_string(capsys):

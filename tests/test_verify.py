@@ -6,12 +6,12 @@ import pytest
 
 from expmean import verify, zerofind
 from expmean.errors import InputError, NumericalError
-from expmean.laurent import mean_via_substitution
 from expmean.meanvalue import mean_value
 from expmean.sums import FrequencyBasis, exp_sum, one_sum
 from expmean.verify import convergence_report, weighted_sum
 from expmean.zerofind import Zero, search_zeros
 from fewnomial import fewnomial_check
+from laurent_routes import root_mean
 
 TWO_TERM = exp_sum([(1, 0), (1, 1)])
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])
@@ -61,7 +61,7 @@ def test_empirical_matches_substitution_at_half_integer():
     g = exp_sum([(1, 1)])
     emp, r_used = empirical_mean(THREE_TERM, g, 7.5)
     assert r_used == 7.5
-    sub = mean_via_substitution(THREE_TERM, g)
+    sub = root_mean(THREE_TERM, g)
     assert abs(emp - sub) < 1e-7
     assert abs(emp - 5.0) < 1e-7
 
