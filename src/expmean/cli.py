@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import __version__
-from .errors import ExpmeanError, InputError, NumericalError
-from .exact import GaussianRational
+from .errors import ExpmeanError, InputError, NumericalError, ResourceLimitError
 from .laurent import laurent_images, sum_over_roots
 from .meanvalue import mean_value, mean_zero_count
 from .sums import ExponentialSum, Frequency, FrequencyBasis, exp_sum, one_sum
@@ -106,16 +105,23 @@ def parse_problem(data: Any) -> Problem:
     return Problem(f=f, g=g)
 
 
+def _rationals_json(*qs) -> list[str]:
+    """The exact rationals as strings, the one way they are rendered; a numerator
+    or denominator past Python's int-to-str digit limit is a ResourceLimitError."""
+    try:
+        return [str(q) for q in qs]
+    except ValueError:
+        msg = f"exact rational beyond the {sys.get_int_max_str_digits()}-digit int-to-str limit"
+        raise ResourceLimitError(msg) from None
+
+
 def _coeff_to_json(coeff: Any, exact: bool) -> list:
-    if exact:
-        return [str(coeff.re), str(coeff.im)]
-    return [coeff.real, coeff.imag]
+    return _rationals_json(coeff.re, coeff.im) if exact else [coeff.real, coeff.imag]
 
 
 def _freq_to_json(freq: Frequency, basis: FrequencyBasis) -> Any:
-    if basis.is_default():
-        return str(freq.coords[0])
-    return [str(c) for c in freq.coords]
+    coords = _rationals_json(*freq.coords)
+    return coords[0] if basis.is_default() else coords
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -144,7 +150,7 @@ def load_problem(path: str) -> Problem:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past the int-to-str digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_problem(data)
 
@@ -227,12 +233,6 @@ def render_csv(rows: list[list[Any]]) -> str:
 # result builders
 
 
-def _exact_vector_json(vec: tuple[GaussianRational, ...] | None) -> Any:
-    if vec is None:
-        return None
-    return [_coeff_to_json(p, True) for p in vec]
-
-
 def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
     res = mean_value(problem.f, problem.g)
     basis = problem.f.basis
@@ -242,7 +242,7 @@ def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
         "M": res.mean,
         "neg_generators": [_freq_to_json(g, basis) for g in res.neg_generators],
         "pos_generators": [_freq_to_json(g, basis) for g in res.pos_generators],
-        "mean_exact": _exact_vector_json(res.mean_exact),
+        "mean_exact": res.mean_exact and [_coeff_to_json(p, True) for p in res.mean_exact],
     }
 
 

@@ -50,18 +50,11 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_exponent(self) -> int:
-        if self.is_zero():
-            raise InputError("zero polynomial has no exponents")
-        return next(iter(self.terms))
-
-    def max_exponent(self) -> int:
-        if self.is_zero():
-            raise InputError("zero polynomial has no exponents")
-        return next(reversed(self.terms))
-
     def exponent_span(self) -> int:
-        return self.max_exponent() - self.min_exponent()
+        """Highest exponent minus lowest."""
+        if self.is_zero():
+            raise InputError("zero polynomial has no exponents")
+        return next(reversed(self.terms)) - next(iter(self.terms))
 
     def evaluate(self, z: complex) -> complex:
         return sum(c * z**k for k, c in self.terms.items())
@@ -90,7 +83,7 @@ def roots_nonzero(p: LaurentPolynomial) -> list[complex]:
     if span == 0:
         return []
     # ascending coefficients of z^{-k_min} * p
-    k0 = p.min_exponent()
+    k0 = next(iter(p.terms))
     coeffs = [0j] * (span + 1)
     for k, c in p.terms.items():
         coeffs[k - k0] = c

@@ -15,7 +15,8 @@ The pass walks an integer lattice, each coordinate counted in units of its
 common denominator and each point keyed by one int, with complex
 coefficients in float mode and Gaussian-integer numerators over powers of
 one common denominator in exact mode, and raises ResourceLimitError once it
-has queued more than _MAX_SERIES_TERMS points.
+has queued more than _MAX_SERIES_TERMS points or stored numerators of more
+than _MAX_SERIES_BITS bits in all.
 The mean value of g over the zeros of f, per unit height of a widening
 horizontal window, is
 
@@ -61,6 +62,8 @@ CutoffLike = Union[int, float, str, Fraction]
 
 # points one reciprocal series may queue before it gives up
 _MAX_SERIES_TERMS = 100_000
+# numerator bits one exact series may store; a level adds about log2(D * max|c|)
+_MAX_SERIES_BITS = 2**27
 
 
 def _as_cutoff(c: CutoffLike) -> Fraction:
@@ -175,9 +178,9 @@ def truncated_reciprocal(
     needs int arithmetic only, and a GaussianRational is built for each
     kept term alone.  The terms come out in order of distance, so two
     nonzero ones at one distance mean the basis is not Q-linearly
-    independent.  Queuing more than _MAX_SERIES_TERMS points raises
-    ResourceLimitError; float mode raises NumericalError once a coefficient
-    overflows.
+    independent.  Past _MAX_SERIES_TERMS queued points or _MAX_SERIES_BITS
+    stored numerator bits it raises ResourceLimitError; float mode raises
+    NumericalError once a coefficient overflows.
     """
     cut = _as_cutoff(cutoff)
     basis = ftilde.basis
@@ -217,6 +220,7 @@ def truncated_reciprocal(
         coeffs = {0: (1, 0, 0)}  # key: (Re s_alpha, Im s_alpha, level(alpha))
         kept = [(0, 0, coeffs[0])]  # (distance, key, value) of each nonzero term
         get = coeffs.get
+        bits = 0
         for dist, key in _walk(moves, int_cut):
             level = dist // least
             re = im = 0
@@ -228,6 +232,10 @@ def truncated_reciprocal(
                     re += ar * pre - ai * pim
                     im += ar * pim + ai * pre
             coeffs[key] = s = (re, im, level)
+            bits += re.bit_length() + im.bit_length()
+            if bits > _MAX_SERIES_BITS:
+                msg = f"exact reciprocal series exceeded its budget of {_MAX_SERIES_BITS} bits"
+                raise ResourceLimitError(msg)
             if re or im:
                 _keep(kept, dist, key, s)
         kept = [(dist, key, GaussianRational(Fraction(re, denom**level),

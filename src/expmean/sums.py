@@ -222,23 +222,19 @@ class ExponentialSum:
         return GR_ZERO if self.exact else 0j
 
     @cached_property
-    def _numeric(self) -> tuple[np.ndarray, np.ndarray]:
-        freqs = np.array([float(v) for v in self.freq_values()], dtype=np.float64)
-        if self.exact:
-            coeffs = np.array([t.coeff.to_complex() for t in self.terms], dtype=np.complex128)
-        else:
-            coeffs = np.array([t.coeff for t in self.terms], dtype=np.complex128)
-        return freqs, coeffs
-
     def numeric_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(frequency float array, coefficient complex array), cached."""
-        return self._numeric
+        """(frequency float array, coefficient complex array): the one float view,
+        an exact sum's being that of to_float_mode, so it may raise NumericalError."""
+        if self.exact:
+            return self.to_float_mode().numeric_parts
+        freqs = np.array([float(v) for v in self.freq_values()], dtype=np.float64)
+        return freqs, np.array([t.coeff for t in self.terms], dtype=np.complex128)
 
     @cached_property
     def _generators(self) -> tuple[list[float], list, list[list[tuple[int, int]]]]:
         """(2*pi*g_j; for each j the top power and the powers terms use; for each
         term its (j, P_ij) with P_ij > 0), a_i = sum_j P_ij g_j; see the module docstring."""
-        freqs, k = self._numeric[0], len(self.basis)
+        freqs, k = self.numeric_parts[0], len(self.basis)
         coords = np.array([t.freq.coords for t in self.terms], dtype=object).reshape(-1, k)
         lcms = [math.lcm(*(q.denominator for q in col)) for col in coords.T]
         powers = coords * lcms  # exact, as an lcm can pass 2**63
@@ -339,7 +335,7 @@ def one_sum(basis: FrequencyBasis | None = None, exact: bool = False) -> Exponen
 
 def evaluate(f: ExponentialSum, z: complex) -> complex:
     """Pointwise value of the sum; overflow yields IEEE infinities."""
-    freqs, coeffs = f.numeric_parts()
+    freqs, coeffs = f.numeric_parts
     if len(freqs) == 0:
         return 0j
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,13 +386,13 @@ def evaluate_array(f: ExponentialSum, zs: np.ndarray | Exponentials) -> np.ndarr
     be the Exponentials of points; they are read when their scales are f's."""
     if not (isinstance(zs, Exponentials) and zs.scales == f._generators[0]):
         zs = generator_exponentials(f, np.asarray(getattr(zs, "points", zs), dtype=np.complex128))
-    return _power_sum(f, zs, f.numeric_parts()[1])
+    return _power_sum(f, zs, f.numeric_parts[1])
 
 
 def coefficient_envelope(f: ExponentialSum, x: np.ndarray) -> np.ndarray:
     """sum_i |c_i| * exp(2*pi*a_i*x) for real x: a pointwise scale for |f|."""
     x = np.asarray(x, dtype=np.float64)
-    return _power_sum(f, generator_exponentials(f, x), np.abs(f.numeric_parts()[1]))
+    return _power_sum(f, generator_exponentials(f, x), np.abs(f.numeric_parts[1]))
 
 
 def add(a: ExponentialSum, b: ExponentialSum) -> ExponentialSum:

@@ -139,15 +139,17 @@ class ZeroSearch:
     outer_winding: int
 
 
+@functools.lru_cache(maxsize=1)
 def strip_bound(f: ExponentialSum) -> float:
     """Smallest B with both coefficient tail sums <= _STRIP_MARGIN at |Re z| = B.
 
     Beyond the strip the factored-out extreme term dominates the rest of
-    the sum by at least 1 - _STRIP_MARGIN, so no zero escapes it.
+    the sum by at least 1 - _STRIP_MARGIN, so no zero escapes it.  The last
+    bound is kept; equal sums share |c| and frequencies, all that B reads.
     """
     if f.num_terms() < 2:
         raise InputError("a strip bound needs at least two terms")
-    freqs, coeffs = f.numeric_parts()
+    freqs, coeffs = f.numeric_parts
     mags = np.abs(coeffs)
     with np.errstate(over="ignore", divide="ignore"):
         # (magnitude ratio, frequency gap) of the other terms to the first, then the last
@@ -185,11 +187,11 @@ def strip_bound(f: ExponentialSum) -> float:
 
 
 class _Workspace:
-    """Shared evaluation state for one search: f, its derivative, arrays."""
+    """Shared evaluation state for one search: f in float mode, its derivative."""
 
     def __init__(self, f: ExponentialSum):
-        self.f = f.to_float_mode()
-        self.df = derivative(self.f)
+        self.f = f
+        self.df = derivative(f)
 
     def ratio(self, zs: np.ndarray | Exponentials, env: np.ndarray) -> np.ndarray:
         """f'/f at points, or their Exponentials, with envelope env; NaN marks
@@ -206,7 +208,7 @@ class _Workspace:
         """|f(z)| <= tol times the coefficient envelope at Re z, summed term by
         term as evaluate sums f; pass fz if known."""
         fz = evaluate(self.f, z) if fz is None else fz
-        freqs, coeffs = self.f.numeric_parts()
+        freqs, coeffs = self.f.numeric_parts
         with np.errstate(over="ignore"):
             return abs(fz) <= tol * float(np.abs(coeffs) @ np.exp(TWO_PI * freqs * z.real))
 
@@ -299,7 +301,7 @@ def _winding(ws: _Workspace, rect: Rect, first: tuple | None = None) -> int:
     )
 
 
-def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
+def _best_ordinate(f: ExponentialSum, r: float, window: float, b: float) -> float:
     """Ordinate r' with |r' - r| <= window maximizing the worse line minimum
     of the two lines Im z = +-r'.  Each of three rounds of 21 offsets,
     nearest first, is scored at once from a separable table: f(x + iy) is
@@ -307,8 +309,8 @@ def _best_ordinate(ws: _Workspace, r: float, window: float, b: float) -> float:
     computed once per scan, and a round takes one exponential per candidate
     line and term and one matrix product.  A candidate must win by a
     relative _TIE_REL, so ties (r' and period - r' for a periodic f) go to
-    the nearer line whatever the rounding."""
-    freqs, coeffs = ws.f.numeric_parts()
+    the nearer line whatever the rounding.  f is in float mode."""
+    freqs, coeffs = f.numeric_parts
     xs = np.linspace(-b, b, _SCAN_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         table = coeffs[:, None] * np.exp(2 * math.pi * np.outer(freqs, xs))
@@ -341,8 +343,8 @@ def _ordinate_window(f: ExponentialSum, R: float) -> float:
     return min(1.0 / (4.0 * float(vals[-1] - vals[0])), 0.5 * float(R))
 
 
-def _ordinate_step(f: ExponentialSum, R: float) -> tuple[_Workspace, float, float]:
-    """Workspace, strip bound B and safe ordinate of the search at R."""
+def _ordinate_step(f: ExponentialSum, R: float) -> tuple[ExponentialSum, float, float]:
+    """f in float mode, strip bound B and safe ordinate of the search at R."""
     if f.num_terms() < 2:
         raise InputError("zero search needs at least two terms")
     if not (math.isfinite(R) and R > 0):
@@ -353,9 +355,9 @@ def _ordinate_step(f: ExponentialSum, R: float) -> tuple[_Workspace, float, floa
     if expected > _MAX_ZEROS:
         msg = f"{expected:.6g} expected zeros exceed the zero budget of {_MAX_ZEROS}"
         raise ResourceLimitError(msg)
-    ws = _Workspace(f)
+    f = f.to_float_mode()
     b = strip_bound(f)
-    return ws, b, _best_ordinate(ws, float(R), _ordinate_window(f, R), b)
+    return f, b, _best_ordinate(f, float(R), _ordinate_window(f, R), b)
 
 
 def safe_ordinate(f: ExponentialSum, R: float) -> float:
@@ -489,10 +491,11 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     0.999/(a_n - a_1): a sum of n terms has fewer there.  Every failure
     after the outer winding carries the sorted claims so far as partial.
     """
-    ws, b, height = _ordinate_step(f, R)
+    f, b, height = _ordinate_step(f, R)
+    ws = _Workspace(f)
     outer = Rect(-b, b, -height, height)
     total = _winding(ws, outer)
-    vals = ws.f.freq_values()
+    vals = f.freq_values()
     span = float(vals[-1] - vals[0])
     claims: list[Zero] = []
     try:
@@ -533,7 +536,7 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
         # fewer than n zeros in any window of height below 1/span, with multiplicity
         ims = [z.location.imag for z in zeros]
         upto = list(itertools.accumulate((z.multiplicity for z in zeros), initial=0))
-        n, window = ws.f.num_terms(), 0.999 / span
+        n, window = f.num_terms(), 0.999 / span
         for i, y in enumerate(ims):
             if upto[bisect.bisect_left(ims, y + window)] - upto[i] >= n:
                 raise NumericalError(

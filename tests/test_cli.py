@@ -183,6 +183,10 @@ def test_load_problem_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError):
         load_problem(str(bad))
+    # a JSON integer past Python's int-to-str digit limit stops json.load itself
+    bad.write_text('{"f": [{"coeff": [1' + "0" * 5000 + ', 0], "freq": "0"}]}')
+    with pytest.raises(InputError, match="5001 digits"):
+        load_problem(str(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +661,18 @@ _BEYOND_DOUBLE = {
         {"mode": "exact", "f": [{"coeff": ["1e-400", 0], "freq": "0"}, _ONE_TERM]},
         ["density", "zeros", "verify", "laurent-check"], 3, "coefficient does not fit a double",
     ),
+    # verify sums g at the zeros as a double, as laurent-check images it
+    "exact-g-coeff": (
+        {"mode": "exact", "f": [{"coeff": [1, 0], "freq": "0"}, _ONE_TERM],
+         "g": [{"coeff": ["1e400", 0], "freq": "1/2"}]},
+        ["verify", "laurent-check"], 3, "coefficient does not fit a double",
+    ),
+    # a nonzero exact term of g whose double is 0 would vanish from the sums
+    "tiny-exact-g-coeff": (
+        {"mode": "exact", "f": [{"coeff": [1, 0], "freq": "0"}, _ONE_TERM],
+         "g": [{"coeff": ["1e-400", 0], "freq": "1/2"}, {"coeff": [1, 0], "freq": "0"}]},
+        ["verify", "laurent-check"], 3, "coefficient does not fit a double",
+    ),
     # the strip bound log 2 / (2 pi 1e-320) is past the largest double
     "strip-bound": (
         {"f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1e-320"}]},
@@ -695,6 +711,19 @@ def test_values_beyond_double_range_exit_code(problem_file, capsys, case, comman
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("command", ["mean", "density"])
+def test_rational_past_the_digit_limit_exit_code(problem_file, capsys, command):
+    # both 4001-digit denominators parse, but the span and the support
+    # generators between them have 8002-digit denominators
+    doc = {"f": [{"coeff": [1, 0], "freq": "1/" + "3" * 4000 + "1"},
+                 {"coeff": [1, 0], "freq": "1/" + "7" * 4000 + "3"}]}
+    assert run([command, "--input", problem_file(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = f"{sys.get_int_max_str_digits()}-digit int-to-str limit"
+    assert captured.err.count("\n") == 1 and limit in captured.err
 
 
 def test_exact_coefficient_below_double_range_keeps_the_exact_mean(problem_file, capsys):

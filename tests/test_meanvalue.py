@@ -4,6 +4,7 @@ import cmath
 import heapq
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,16 @@ def test_reciprocal_series_budget(monkeypatch):
     assert truncated_reciprocal(ftilde, End.FIRST, 9).sum.num_terms() == 10
     with pytest.raises(ResourceLimitError):
         truncated_reciprocal(ftilde, End.FIRST, 10)
+
+
+def test_exact_series_numerator_budget():
+    # f = 1 + 10**300 e(z): each level of the first end's series adds about
+    # 997 bits to a numerator, and g = e(-20000 z) reaches 19999 levels
+    f = exp_sum([(1, 0), (10**300, 1)], exact=True)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"budget of {2**27} bits"):
+        mean_value(f, exp_sum([(1, -20000)], exact=True))
+    assert time.perf_counter() - start < 2.0
 
 
 def _reference_lattice_walk(ftilde, end, cut):

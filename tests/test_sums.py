@@ -290,7 +290,7 @@ def test_evaluate_array_and_envelope_match_mpmath():
     eps = np.finfo(float).eps
     paths = set()
     for f, lattice in _kernel_cases():
-        freqs, coeffs = f.numeric_parts()
+        freqs, coeffs = f.numeric_parts
         uses_lattice = len(f._generators[0]) < np.count_nonzero(freqs)
         assert lattice in (None, uses_lattice)
         paths.add(uses_lattice)

@@ -166,6 +166,25 @@ def test_top_rung_ordinate_is_scanned_once(monkeypatch):
     assert scans == [2.4, 3.7, 5.5]
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_ladder_prepares_its_sum_once(monkeypatch, exact):
+    # the rungs' ordinates and the one search share f's float view: one
+    # derivative, for the search's workspace, and one strip-bound solve
+    derivatives = []
+    derivative = zerofind.derivative
+
+    def spy(f):
+        derivatives.append(f)
+        return derivative(f)
+
+    monkeypatch.setattr(zerofind, "derivative", spy)
+    zerofind.strip_bound.cache_clear()
+    f = exp_sum([(6, 0), (-5, 1), (1, 2)], exact=exact)
+    convergence_report(f, exp_sum([(1, 1)], exact=exact), [2.4, 3.7, 5.5], tol=1.0)
+    assert len(derivatives) == 1
+    assert zerofind.strip_bound.cache_info().misses == 1
+
+
 def test_noise_floor_scales_with_the_row_sum():
     rep = convergence_report(THREE_TERM, exp_sum([(1, 1)]), [4.5, 9.5], tol=0.3)
     for row in rep.rows:

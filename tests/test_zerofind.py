@@ -52,7 +52,7 @@ def winding_count(f, rect):
 
 
 def tail_sums(f, b):
-    freqs, coeffs = f.numeric_parts()
+    freqs, coeffs = f.numeric_parts
     mags = np.abs(coeffs)
     first = float(np.sum(mags[1:] / mags[0] * np.exp(-2 * math.pi * b * (freqs[1:] - freqs[0]))))
     last = float(np.sum(mags[:-1] / mags[-1] * np.exp(-2 * math.pi * b * (freqs[-1] - freqs[:-1]))))
@@ -781,7 +781,7 @@ def test_best_ordinate_matches_per_candidate_scoring(monkeypatch):
         ws = _Workspace(f)
         window, b = zerofind._ordinate_window(f, R), strip_bound(f)
         evaluations.clear()
-        got = zerofind._best_ordinate(ws, R, window, b)
+        got = zerofind._best_ordinate(ws.f, R, window, b)
         # the scan scores its lines from its own separable table
         assert evaluations == []
         assert got == _reference_ordinate(ws, R, window, b), (f, R)
