@@ -150,8 +150,10 @@ def load_problem(path: str) -> Problem:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer literal past the int-to-str digit limit
+    except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal past the int-to-str digit limit
+        raise InputError(f"cannot read {path} as JSON: {exc}") from exc
     return parse_problem(data)
 
 

@@ -18,14 +18,13 @@ cluster of close simple ones.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InputError, NumericalError, ResourceLimitError
-from .sums import ExponentialSum
+from .sums import ExponentialSum, lattice
 
 # np.roots builds a companion matrix of this order: at 1024 it takes about
 # 4 s on one core and 16 MB, and the cost grows with the cube of the degree
@@ -122,16 +121,12 @@ def laurent_images(
         raise InputError("substitution requires the default rational basis")
     if f.is_zero():
         raise InputError("mean value requires a non-zero denominator sum")
-    q = math.lcm(*(v.denominator for v in f.freq_values() + g.freq_values()))
+    lat = lattice(f.basis, [t.freq for s in (f, g) for t in s.terms])
+    q = lat.den[0]
     if q > sys.float_info.max:
         raise InputError("the common denominator of the frequencies is beyond double range")
 
     def to_laurent(s: ExponentialSum) -> LaurentPolynomial:
-        s = s.to_float_mode()
-        terms: dict[int, complex] = {}
-        for t in s.terms:
-            v = s.basis.value_key(t.freq) * q
-            terms[int(v)] = t.coeff
-        return LaurentPolynomial(terms)
+        return LaurentPolynomial({lat.point(t.freq)[0]: t.coeff for t in s.to_float_mode().terms})
 
     return to_laurent(f), to_laurent(g), q

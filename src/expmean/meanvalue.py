@@ -11,12 +11,14 @@ series over the semigroup those frequencies generate, and its coefficients
 follow from the power-series inversion recurrence in one pass outward from
 frequency zero.  Only the finitely many terms within the frequency reach of
 g * f' can meet it at frequency 0, so the constant term is well defined.
-The pass walks an integer lattice, each coordinate counted in units of its
-common denominator and each point keyed by one int, with complex
-coefficients in float mode and Gaussian-integer numerators over powers of
-one common denominator in exact mode, and raises ResourceLimitError once it
-has queued more than _MAX_SERIES_TERMS points or stored numerators of more
-than _MAX_SERIES_BITS bits in all.
+The pass walks the int lattice of ftilde_k's frequencies (sums.lattice),
+each point keyed by one int, with complex coefficients in float mode and
+Gaussian-integer numerators over powers of one common denominator in exact
+mode, and raises ResourceLimitError once it has queued more than
+_MAX_SERIES_TERMS points or stored numerators of more than _MAX_SERIES_BITS
+bits in all.  The terms of g * f' sit on a second lattice, over them and the
+k-th term, where the cutoff is an int and each term finds its mate in the
+series by walk key.
 The mean value of g over the zeros of f, per unit height of a widening
 horizontal window, is
 
@@ -38,13 +40,16 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from functools import cached_property
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InputError, NumericalError, ResourceLimitError
 from .exact import GR_ONE, GR_ZERO, GaussianRational
 from .sums import (
+    Coeff,
     End,
     ExpTerm,
     ExponentialSum,
@@ -54,8 +59,10 @@ from .sums import (
     derivative,
     divide_by_extreme_term,
     extreme_term,
+    lattice,
     multiply,
     normalize,
+    reject_shared_value,
 )
 
 CutoffLike = Union[int, float, str, Fraction]
@@ -80,9 +87,38 @@ def _as_cutoff(c: CutoffLike) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """A formal series kept exactly up to |frequency| <= cutoff."""
+    """A formal series kept exactly up to |frequency| <= cutoff: its nonzero
+    coefficients by walk key in order of frequency, the keys encoding points
+    of the lattice with coordinates in [-lim, lim] (see truncated_reciprocal)."""
 
-    sum: ExponentialSum
+    terms: dict[int, Coeff]
+    den: tuple[int, ...]
+    lim: int
+    basis: FrequencyBasis
+    exact: bool
+
+    def lookup(self, point: Sequence[int], den: Sequence[int]) -> Optional[Coeff]:
+        """The nonzero coefficient at frequency (point[i] / den[i]), or None."""
+        key = 0
+        for a, d, own in zip(point, den, self.den):
+            k, rem = divmod(a * own, d)
+            if rem or abs(k) > self.lim:
+                return None
+            key = key * (2 * self.lim + 1) + k
+        return self.terms.get(key)
+
+    @cached_property
+    def sum(self) -> ExponentialSum:
+        """The series as a sum, built on first read."""
+        radix, terms = 2 * self.lim + 1, []
+        for key, c in self.terms.items():
+            coords = []  # coordinate n - 1 first
+            for d in reversed(self.den):
+                digit = (key + self.lim) % radix - self.lim
+                coords.append(Fraction(digit, d))
+                key = (key - digit) // radix
+            terms.append(ExpTerm(c, Frequency(tuple(reversed(coords)))))
+        return ExponentialSum(tuple(terms), self.basis, self.exact)
 
 
 @dataclass(frozen=True)
@@ -136,10 +172,7 @@ def _keep(kept: list, dist: int, key: int, value) -> None:
     """Append a nonzero term; kept terms come in order of distance, so two at
     one distance are two frequency vectors with one numeric value."""
     if dist == kept[-1][0]:
-        raise InputError(
-            "distinct frequency vectors share one numeric value; "
-            "the declared basis is not Q-linearly independent"
-        )
+        reject_shared_value()
     kept.append((dist, key, value))
 
 
@@ -158,16 +191,14 @@ def truncated_reciprocal(
     one pass over the points of the semigroup generated by the betas, in
     increasing distance from zero up to the cutoff, gives every term.
 
-    The pass runs on an integer lattice: coordinate i is counted in units
-    of 1/den[i], the common denominator of the betas' i-th coordinates, and
-    distance in units of 1/scale, the common denominator of the basis
-    values over den, so distances are ints.  A point is one int key, its
-    coordinates as balanced digits in radix 2*lim + 1 with coordinate 0
-    leading, where every point the pass reaches or looks up has coordinates
-    in [-lim, lim]: a step is one int add, a lookup one int-keyed dict get,
-    and keys order as the coordinate tuples do.  Float mode runs the
-    recurrence on complex numbers, adding the betas in the order of
-    ftilde's terms.  Exact mode runs it on Gaussian-integer numerators
+    The pass runs on the lattice of ftilde's frequencies (sums.lattice), so
+    distances are ints.  A point is one int key, its coordinates as
+    balanced digits in radix 2*lim + 1 with coordinate 0 leading, where
+    every point the pass reaches or looks up has coordinates in [-lim, lim]:
+    a step is one int add, a lookup one int-keyed dict get, and keys order
+    as the coordinate tuples do.  Float mode runs the recurrence on complex
+    numbers, adding the betas in the order of ftilde's terms.  Exact mode
+    runs it on Gaussian-integer numerators
     s_alpha = r_alpha * D**level(alpha), where D is the common denominator
     of the c_beta and level = distance // (smallest beta distance): a step
     raises the level by at least one, so
@@ -189,15 +220,12 @@ def truncated_reciprocal(
     if one != (GR_ONE if ftilde.exact else 1):
         raise InputError("reciprocal expansion requires a constant term equal to one")
     sign = 1 if end is End.FIRST else -1
-    den = [math.lcm(*(t.freq.coords[i].denominator for t in ftilde.terms)) for i in range(n)]
-    units = [b / d for b, d in zip(basis.fraction_values, den)]
-    scale = math.lcm(*(u.denominator for u in units))
-    weights = [sign * u.numerator * (scale // u.denominator) for u in units]
-    int_cut = math.floor(cut * scale)
+    lat = lattice(basis, (t.freq for t in ftilde.terms))
+    int_cut = math.floor(cut * lat.scale)
     steps = []  # (beta on the lattice, its distance from zero, -c_beta)
     for t in ftilde.terms:
-        beta = tuple(q.numerator * (d // q.denominator) for q, d in zip(t.freq.coords, den))
-        dist = sum(w * b for w, b in zip(weights, beta))
+        beta = lat.point(t.freq)
+        dist = sign * lat.value(beta)
         if dist < 0:
             raise InputError(f"{end.value}-end expansion given a frequency past its end")
         if 0 < dist <= int_cut:
@@ -259,17 +287,7 @@ def truncated_reciprocal(
                 _keep(kept, dist, key, r)
     if end is End.LAST:
         kept.reverse()
-
-    def frequency(key: int) -> Frequency:
-        digits = []  # coordinate n - 1 first
-        for _ in range(n):
-            digit = (key + lim) % radix - lim
-            digits.append(digit)
-            key = (key - digit) // radix
-        return Frequency(tuple(Fraction(a, d) for a, d in zip(reversed(digits), den)))
-
-    terms = tuple(ExpTerm(r, frequency(key)) for _, key, r in kept)
-    return TruncatedSeries(ExponentialSum(terms, basis, ftilde.exact))
+    return TruncatedSeries({key: r for _, key, r in kept}, lat.den, lim, basis, ftilde.exact)
 
 
 def _derivative_products(f: ExponentialSum, g: ExponentialSum) -> list[ExponentialSum]:
@@ -289,18 +307,20 @@ def _a_value(f: ExponentialSum, products: list[ExponentialSum], end: End):
     ext = extreme_term(f, end)
     inv = (GR_ONE if f.exact else 1.0) / ext.coeff
     zero = GR_ZERO if f.exact else 0j
-    # each product over the extreme term, as (coefficient, frequency) pairs
-    quotients = [[(c, t.freq - ext.freq) for t in p.terms if (c := t.coeff * inv) != zero]
-                 for p in products]
-    values = [f.basis.value_key(q) for p in quotients for _, q in p]
+    lat = lattice(f.basis, [ext.freq, *(t.freq for p in products for t in p.terms)])
+    top = lat.point(ext.freq)
+    # each product term over the extreme one, as (coefficient, point of its mate ext - t)
+    quotients = [[(c, tuple(map(operator.sub, top, lat.point(t.freq))))
+                  for t in p.terms if (c := t.coeff * inv) != zero] for p in products]
+    sign = 1 if end is End.FIRST else -1
+    reach = max((sign * lat.value(m) for p in quotients for _, m in p), default=None)
     coords = [zero] * len(products)
-    if values:
-        cut = max(Fraction(0), -min(values) if end is End.FIRST else max(values))
+    if reach is not None:
+        cut = Fraction(max(0, reach), lat.scale)
         series = truncated_reciprocal(divide_by_extreme_term(f, end), end, cut)
-        series_at = {t.freq.coords: t.coeff for t in series.sum.terms}
         for j, p in enumerate(quotients):
-            for c, q in p:
-                mate = series_at.get((-q).coords)
+            for c, m in p:
+                mate = series.lookup(m, lat.den)
                 if mate is not None:
                     coords[j] = coords[j] + c * mate
     return tuple(coords) if f.exact else coords[0]

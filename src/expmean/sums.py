@@ -5,7 +5,9 @@ real ``a``.  Frequencies are stored exactly as vectors of rationals over a
 user-declared basis of positive reals, so that merging, ordering, and
 constant-term extraction never depend on floating-point equality.  The basis
 reals themselves enter only through high-precision decimal strings; their
-Q-linear independence is asserted by the caller, not verified.
+Q-linear independence is asserted by the caller, not verified.  Bookkeeping
+runs on the int lattice of the frequencies at hand (see Lattice): merging
+keys terms by int vector, and ordering and the tie check compare int values.
 
 Coefficients come in two modes, carried by the sum and required to match
 across operands: ``complex`` floats for numeric pipelines, or
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -151,6 +154,40 @@ class Frequency:
         return "Frequency(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+class Lattice(NamedTuple):
+    """Frequencies as int vectors: coordinate i in units of 1/den[i], and the
+    value of a point sum_i k_i * weights[i] in units of 1/scale."""
+
+    den: tuple[int, ...]
+    weights: tuple[int, ...]
+    scale: int
+
+    def point(self, freq: Frequency) -> tuple[int, ...]:
+        return tuple(q.numerator * (d // q.denominator) for q, d in zip(freq.coords, self.den))
+
+    def value(self, point: Sequence[int]) -> int:
+        return sum(map(operator.mul, point, self.weights))
+
+
+def lattice(basis: FrequencyBasis, freqs: Iterable[Frequency]) -> Lattice:
+    """The coarsest lattice holding every frequency of freqs; scale is the
+    common denominator of the basis values over den."""
+    coords = [f.coords for f in freqs]
+    for c in coords:
+        if len(c) != len(basis):
+            raise InputError(f"term frequency has {len(c)} coordinates, basis has {len(basis)}")
+    den = tuple(math.lcm(*(c[i].denominator for c in coords)) for i in range(len(basis)))
+    units = [b / d for b, d in zip(basis.fraction_values, den)]
+    scale = math.lcm(*(u.denominator for u in units))
+    return Lattice(den, tuple(u.numerator * (scale // u.denominator) for u in units), scale)
+
+
+def reject_shared_value() -> NoReturn:
+    """Raise the error for two distinct frequency vectors at one numeric value."""
+    raise InputError("distinct frequency vectors share one numeric value; "
+                     "the declared basis is not Q-linearly independent")
+
+
 @dataclass(frozen=True)
 class ExpTerm:
     """One term ``coeff * exp(2*pi*freq*z)``."""
@@ -234,13 +271,12 @@ class ExponentialSum:
     def _generators(self) -> tuple[list[float], list, list[list[tuple[int, int]]]]:
         """(2*pi*g_j; for each j the top power and the powers terms use; for each
         term its (j, P_ij) with P_ij > 0), a_i = sum_j P_ij g_j; see the module docstring."""
-        freqs, k = self.numeric_parts[0], len(self.basis)
-        coords = np.array([t.freq.coords for t in self.terms], dtype=object).reshape(-1, k)
-        lcms = [math.lcm(*(q.denominator for q in col)) for col in coords.T]
-        powers = coords * lcms  # exact, as an lcm can pass 2**63
+        freqs, lat = self.numeric_parts[0], lattice(self.basis, (t.freq for t in self.terms))
+        powers = np.array([lat.point(t.freq) for t in self.terms], dtype=object)  # may pass 2**63
+        powers = powers.reshape(-1, len(self.basis))
         used = (powers != 0).any(axis=0)
         if np.all((powers >= 0) & (powers <= _MAX_POWER)) and used.sum() < np.count_nonzero(freqs):
-            gens = [float(b / m) for b, m in zip(self.basis.fraction_values, lcms)]
+            gens = [w / lat.scale for w in lat.weights]
             scales, powers = TWO_PI * np.array(gens)[used], powers[:, used].astype(int)
         else:
             used = freqs != 0
@@ -284,28 +320,21 @@ def normalize(raw_terms: Iterable[ExpTerm], basis: FrequencyBasis, exact: bool) 
     value, which can only happen when the declared basis is not Q-linearly
     independent at the represented precision.
     """
-    merged: dict[tuple[Fraction, ...], Coeff] = {}
-    for t in raw_terms:
+    terms = list(raw_terms)
+    lat = lattice(basis, (t.freq for t in terms))
+    merged: dict[tuple[int, ...], tuple[Frequency, Coeff]] = {}  # the first frequency seen
+    for t in terms:
         if isinstance(t.coeff, GaussianRational) != exact:
             raise InputError("term list mixes exact and float coefficients")
-        if len(t.freq.coords) != len(basis):
-            raise InputError(
-                f"term frequency has {len(t.freq.coords)} coordinates, basis has {len(basis)}"
-            )
-        key = t.freq.coords
-        merged[key] = merged[key] + t.coeff if key in merged else t.coeff
+        key = lat.point(t.freq)
+        prev = merged.get(key)
+        merged[key] = (t.freq, t.coeff) if prev is None else (prev[0], prev[1] + t.coeff)
 
-    kept = []  # (value, frequency, coefficient) of each nonzero term
-    for coords, c in merged.items():
-        if not (c.is_zero() if exact else c == 0):
-            f = Frequency(coords)
-            kept.append((basis.value_key(f), f, c))
+    kept = [(lat.value(key), f, c) for key, (f, c) in merged.items()
+            if not (c.is_zero() if exact else c == 0)]
     kept.sort(key=lambda vfc: vfc[0])
     if any(a[0] == b[0] for a, b in zip(kept, kept[1:])):
-        raise InputError(
-            "distinct frequency vectors share one numeric value; "
-            "the declared basis is not Q-linearly independent"
-        )
+        reject_shared_value()
     return ExponentialSum(tuple(ExpTerm(c, f) for _, f, c in kept), basis, exact)
 
 

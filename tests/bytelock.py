@@ -17,8 +17,13 @@ From the repository root:
 
 ``--root`` (default: this checkout) names the checkout whose ``src/`` and
 ``bench/workloads.py`` are run, so a checkout without this file can be
-dumped too.  ``diff`` prints each op whose code, stdout or stderr differs
-and exits 1 if any does.
+dumped too.  ``--workloads`` (default: all) names the workloads to run, so
+a change to one path can be locked cheaply at more seeds:
+
+    python tests/bytelock.py dump after.json --workloads mean-series --seeds 1,2,3,4,5
+
+``diff`` prints each op whose code, stdout or stderr differs and exits 1 if
+any does.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ def _invoke(run, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def dump(root: str, seeds: list[int]) -> dict[str, dict]:
-    """{workload:seed/op or probe/op: {code, stdout, stderr}} for one checkout."""
+def dump(root: str, seeds: list[int], names: list[str] | None = None) -> dict[str, dict]:
+    """{workload:seed/op or probe/op: {code, stdout, stderr}} for one checkout,
+    over the named workloads (default: all)."""
     root = os.path.abspath(root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     import workloads
@@ -57,7 +63,7 @@ def dump(root: str, seeds: list[int]) -> dict[str, dict]:
     with tempfile.TemporaryDirectory() as work:
         ops = [("probe", op) for op in workloads.probe_ops(root)]
         for seed in seeds:
-            for name in workloads.WORKLOADS:
+            for name in names or workloads.WORKLOADS:
                 directory = os.path.join(work, f"{name}-{seed}")
                 os.mkdir(directory)
                 built = workloads.build(name, seed, root)
@@ -96,12 +102,14 @@ def main(argv: list[str] | None = None) -> int:
     d.add_argument("out")
     d.add_argument("--root", default=HERE, help="checkout to run (default: this one)")
     d.add_argument("--seeds", default="1,2", help="comma-separated workload seeds")
+    d.add_argument("--workloads", help="comma-separated workload names (default: all)")
     c = sub.add_parser("diff", help="compare two dumps; exit 1 if they differ")
     c.add_argument("before")
     c.add_argument("after")
     args = parser.parse_args(argv)
     if args.command == "dump":
-        result = dump(args.root, [int(s) for s in args.seeds.split(",")])
+        names = args.workloads.split(",") if args.workloads else None
+        result = dump(args.root, [int(s) for s in args.seeds.split(",")], names)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1, sort_keys=True)
         codes = sorted({v["code"] for v in result.values()})

@@ -181,12 +181,14 @@ def test_load_problem_errors(tmp_path):
         load_problem(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="is not valid JSON"):
         load_problem(str(bad))
-    # a JSON integer past Python's int-to-str digit limit stops json.load itself
+    # a JSON integer past Python's int-to-str digit limit stops json.load itself:
+    # the document is valid JSON that Python will not convert
     bad.write_text('{"f": [{"coeff": [1' + "0" * 5000 + ', 0], "freq": "0"}]}')
-    with pytest.raises(InputError, match="5001 digits"):
+    with pytest.raises(InputError, match="5001 digits") as exc:
         load_problem(str(bad))
+    assert str(exc.value).startswith(f"cannot read {bad} as JSON: Exceeds the limit")
 
 
 # ---------------------------------------------------------------------------

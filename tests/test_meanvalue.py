@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from expmean import meanvalue
 from expmean.errors import InputError, NumericalError, ResourceLimitError
-from expmean.exact import GR_ZERO, GaussianRational
+from expmean.exact import GR_ONE, GR_ZERO, GaussianRational
 from expmean.meanvalue import (
     MeanValueResult,
     _a_value,
@@ -197,6 +197,23 @@ def test_reciprocal_dependent_basis_shares_a_value():
     assert truncated_reciprocal(ftilde, End.FIRST, Fraction(3, 2)).sum.num_terms() == 2
     with pytest.raises(InputError, match="share one numeric value"):
         truncated_reciprocal(ftilde, End.FIRST, 2)
+
+
+def test_one_collision_error():
+    # a dependent basis gives one text whether a sum, a product or a series collides
+    basis = FrequencyBasis(("1", "0.5"))
+    with pytest.raises(InputError) as built:
+        exp_sum([(1, (1, 0)), (1, (0, 2))], basis)
+    a = exp_sum([(1, (0, 0)), (1, (0, 1))], basis)
+    b = exp_sum([(1, (0, 0)), (1, (1, -1))], basis)
+    with pytest.raises(InputError) as product:
+        multiply(a, b)
+    ftilde = exp_sum([(1, (0, 0)), (1, (0, 1)), (1, (1, 0))], basis, exact=True)
+    with pytest.raises(InputError) as series:
+        truncated_reciprocal(ftilde, End.FIRST, 1)
+    texts = {str(e.value) for e in (built, product, series)}
+    assert texts == {"distinct frequency vectors share one numeric value; "
+                     "the declared basis is not Q-linearly independent"}
 
 
 def test_reciprocal_series_budget(monkeypatch):
@@ -418,6 +435,79 @@ def test_constant_term_cutoff_independence():
                         acc = acc + c * series_at[-q]
                 widened.append(acc)
             assert _a_value(f, products, end) == tuple(widened)
+
+
+def _reference_a_value(f, products, end):
+    """_a_value as it ran on Fraction frequencies: quotients by Frequency
+    subtraction, values by value_key and mates by Fraction-tuple hash."""
+    ext = extreme_term(f, end)
+    inv = (GR_ONE if f.exact else 1.0) / ext.coeff
+    zero = GR_ZERO if f.exact else 0j
+    quotients = [[(c, t.freq - ext.freq) for t in p.terms if (c := t.coeff * inv) != zero]
+                 for p in products]
+    values = [f.basis.value_key(q) for p in quotients for _, q in p]
+    coords = [zero] * len(products)
+    if values:
+        cut = max(Fraction(0), -min(values) if end is End.FIRST else max(values))
+        series = truncated_reciprocal(divide_by_extreme_term(f, end), end, cut)
+        series_at = {t.freq.coords: t.coeff for t in series.sum.terms}
+        for j, p in enumerate(quotients):
+            for c, q in p:
+                mate = series_at.get((-q).coords)
+                if mate is not None:
+                    coords[j] = coords[j] + c * mate
+    return tuple(coords) if f.exact else coords[0]
+
+
+def _a_outcome(a_value, f, products, end):
+    """The constant term, a float one by its bits, or the error raised."""
+    try:
+        a = a_value(f, products, end)
+    except (InputError, NumericalError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    return a if f.exact else (a.real.hex(), a.imag.hex())
+
+
+# (1, 0, 0) and (0, 2, 0) share a value under the second basis
+A_VALUE_BASES = [BASIS3, FrequencyBasis(("1", "0.5", SQRT3))]
+A_VALUE_COORDS = [Fraction(k, d) for k in range(-2, 3) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("basis", A_VALUE_BASES, ids=["independent", "dependent"])
+def test_a_value_matches_fraction_keyed_a_value(basis, exact):
+    rng = random.Random(11)
+    outcomes = []
+    for trial in range(40):
+        # f's values lie at least 2/5 apart, so each series stays small
+        while True:
+            fv = [tuple(rng.choice(A_VALUE_COORDS) for _ in range(3)) for _ in range(3)]
+            if trial % 4 == 1:  # steps (0, 1, 0) and (1, 0, 0): (0, 2, 0) shares a value
+                fv[1:] = [tuple(map(sum, zip(fv[0], step))) for step in ((0, 1, 0), (1, 0, 0))]
+            vals = sorted(basis.value_key(Frequency(v)) for v in fv)
+            if min(b - a for a, b in zip(vals, vals[1:])) >= Fraction(2, 5) and vals[-1] < 4:
+                break
+        gv = [tuple(rng.choice(A_VALUE_COORDS) for _ in range(3)) for _ in range(rng.randint(0, 3))]
+        # g holds the mirror of its first frequency and f's first, so product terms merge
+        gv += [tuple(-q for q in v) for v in gv[:1]] + fv[:1]
+
+        def coeff():
+            return (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) or Fraction(1),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+        f = exp_sum([(coeff(), v) for v in fv], basis, exact)
+        try:  # g = 0 every tenth
+            g = exp_sum([(coeff(), v) for v in gv if trial % 10], basis, exact)
+            products = _derivative_products(f, g)
+        except InputError:  # g or a product collides under the dependent basis
+            continue
+        for end in (End.FIRST, End.LAST):
+            got = _a_outcome(_a_value, f, products, end)
+            assert got == _a_outcome(_reference_a_value, f, products, end)
+            outcomes.append(got)
+    raised = [o for o in outcomes if isinstance(o[0], type)]
+    # the dependent basis raises on some series; every basis computes most
+    assert (len(raised) > 0) == (basis is not BASIS3) and len(raised) < len(outcomes) // 2
 
 
 def test_constant_term_zero_f_raises():

@@ -91,9 +91,74 @@ def test_normalize_detects_basis_collision():
         normalize([ExpTerm(1 + 0j, f1), ExpTerm(1 + 0j, f2)], basis, exact=False)
 
 
+def _reference_normalize(raw_terms, basis, exact):
+    """normalize as it ran on Fraction-tuple keys and FrequencyBasis.value_key."""
+    merged = {}
+    for t in raw_terms:
+        if isinstance(t.coeff, GaussianRational) != exact:
+            raise InputError("term list mixes exact and float coefficients")
+        if len(t.freq.coords) != len(basis):
+            raise InputError(
+                f"term frequency has {len(t.freq.coords)} coordinates, basis has {len(basis)}"
+            )
+        key = t.freq.coords
+        merged[key] = merged[key] + t.coeff if key in merged else t.coeff
+    kept = []
+    for coords, c in merged.items():
+        if not (c.is_zero() if exact else c == 0):
+            f = Frequency(coords)
+            kept.append((basis.value_key(f), f, c))
+    kept.sort(key=lambda vfc: vfc[0])
+    if any(a[0] == b[0] for a, b in zip(kept, kept[1:])):
+        raise InputError(
+            "distinct frequency vectors share one numeric value; "
+            "the declared basis is not Q-linearly independent"
+        )
+    return ExponentialSum(tuple(ExpTerm(c, f) for _, f, c in kept), basis, exact)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+# 0.5 = 1/2 makes the second basis dependent: (1, 0, 0) and (0, 2, 0) share a value
+ORACLE_BASES = [FrequencyBasis(("1", SQRT2, SQRT3)), FrequencyBasis(("1", "0.5", SQRT3))]
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-def test_normalize_reads_each_kept_value_once(monkeypatch, exact):
-    # frequency 2 merges, 1 cancels and 0 stays: two values, for the sort and the collision check
+@pytest.mark.parametrize("basis", ORACLE_BASES, ids=["independent", "dependent"])
+def test_normalize_matches_fraction_keyed_normalize(basis, exact):
+    rng = random.Random(7)
+    coords = [Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3, 4, 6)]
+    outcomes = set()
+    for trial in range(150):
+        # a pool of a few vectors makes repeats; each term may come back negated
+        pool = [tuple(rng.choice(coords) for _ in range(3)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.25:  # a vector that shares a value under the dependent basis
+            pool.append((pool[0][0] + 1, pool[0][1] - 2, pool[0][2]))
+        raw = []
+        for _ in range(rng.randint(0, 8) if trial else 0):
+            c = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4)))
+            c = GaussianRational(*c) if exact else complex(*c)
+            freq = Frequency(rng.choice(pool))
+            raw.append(ExpTerm(c, freq))
+            if rng.random() < 0.3:
+                raw.append(ExpTerm(-c, freq))
+        rng.shuffle(raw)
+        got = _outcome(normalize, raw, basis, exact)
+        assert got == _outcome(_reference_normalize, raw, basis, exact)
+        outcomes.add(type(got))
+    # a dependent basis raises on some lists, and every basis keeps others whole
+    assert outcomes == ({ExponentialSum, str} if basis.values[1] == "0.5" else {ExponentialSum})
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_normalize_reads_no_value_key(monkeypatch, exact):
+    # frequency 2 merges, 1 cancels and 0 stays; merging, the sort and the
+    # collision check all run on the int lattice, so no Fraction value is read
     read, value_key = [], FrequencyBasis.value_key
     monkeypatch.setattr(
         FrequencyBasis, "value_key", lambda self, freq: read.append(freq) or value_key(self, freq)
@@ -104,7 +169,7 @@ def test_normalize_reads_each_kept_value_once(monkeypatch, exact):
     f = normalize(raw, DEFAULT_BASIS, exact)
     assert [t.freq for t in f.terms] == [Frequency.of(0), Frequency.of(2)]
     assert f.terms[1].coeff == one + one
-    assert sorted(read, key=lambda freq: freq.coords) == [t.freq for t in f.terms]
+    assert read == []
 
 
 def test_float_mode_coefficient_pairs_parse_rationals():
