@@ -18,13 +18,14 @@ Array evaluation takes one exponential per frequency generator, not per
 term: with L_j the lcm of coordinate j's denominators, a_i = sum_j P_ij g_j
 for g_j = b_j / L_j and integers P_ij in [0, _MAX_POWER] when that needs
 fewer generators than nonzero frequencies (else each nonzero frequency is a
-generator), and powers come from repeated products.  The exponentials at a
-set of points serve every sum with the same generators, such as f and a
-derivative that keeps every nonzero frequency.  As g_j > 0 and P_ij >= 0,
-partial products lie between 1 and the term, so they overflow exactly where
-the direct exponential does; 64 products lose about 64 eps ~ 7e-15, under
-the zero search's 1e-13 clearance.  Scalar ``evaluate`` stays direct, so
-Newton's iterates and the zeros they locate do not move.
+generator), and powers come from repeated products, summed in cache-sized
+blocks.  The exponentials at a set of points serve every sum with the same
+generators, such as f and a derivative that keeps every nonzero frequency.
+As g_j > 0 and P_ij >= 0, partial products lie between 1 and the term, so
+they overflow exactly where the direct exponential does; 64 products lose
+about 64 eps ~ 7e-15, under the zero search's 1e-13 clearance.  Scalar
+``evaluate`` stays direct, so Newton's iterates and the zeros they locate do
+not move.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .exact import GR_ONE, GR_ZERO, GaussianRational, as_fraction
 
 TWO_PI = 2.0 * math.pi
 _MAX_POWER = 64
+_BLOCK = 8192  # points per block of array evaluation, whose terms stay in cache
 
 Coeff = Union[complex, GaussianRational]
 
@@ -384,27 +386,39 @@ def generator_exponentials(f: ExponentialSum, w: np.ndarray) -> Exponentials:
     """exp(2*pi*g_j*w) for each generator g_j of f: all that array evaluation exponentiates."""
     scales = f._generators[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        return Exponentials(w, scales, [np.exp(s * w) for s in scales])
+        return Exponentials(w, scales, [np.exp(x, out=x) for x in (s * w for s in scales)])
 
 
 def _power_sum(f: ExponentialSum, e: Exponentials, coeffs: np.ndarray) -> np.ndarray:
     """sum_i coeffs[i] * prod_j u_j**P_ij for the generator exponentials u_j of f
-    in e; only the powers some term uses are built, by repeated products."""
+    in e, _BLOCK points at a time: a block's powers (those terms use) and terms stay in cache."""
     _, needs, factors = f._generators
-    tables = []
+    dtype = np.result_type(e.points, coeffs)
+    if e.points.size <= _BLOCK:  # one block, the whole array, summed into zeros
+        out = np.zeros(e.points.shape, dtype)
+        blocks = [(e.values, out, None)]
+    else:  # each block's sum is 0 + its first term + ..., as a whole array's
+        out, values = np.empty(e.points.shape, dtype), [u.reshape(-1) for u in e.values]
+        blocks = [([u[s:s + _BLOCK] for u in values], out.reshape(-1)[s:s + _BLOCK],
+                   np.zeros((), dtype)) for s in range(0, out.size, _BLOCK)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for u, (top, used) in zip(e.values, needs):
-            cur, table = u, {1: u}
-            for p in range(2, top + 1):
-                cur = cur * u
-                if p in used:
-                    table[p] = cur
-            tables.append(table)
-        out = np.zeros(e.points.shape, dtype=np.result_type(e.points, coeffs))
-        for c, row in zip(coeffs, factors):
-            for j, p in row:
-                c = c * tables[j][p]
-            out += c
+        for values, acc, zero in blocks:
+            tables = []
+            for u, (top, used) in zip(values, needs):
+                cur, table = u, {1: u}
+                for p in range(2, top + 1):
+                    cur = cur * u
+                    if p in used:
+                        table[p] = cur
+                tables.append(table)
+            for c, row in zip(coeffs, factors):
+                for j, p in row:
+                    c = c * tables[j][p]
+                if zero is None:
+                    acc += c
+                else:
+                    np.add(zero, c, out=acc)
+                    zero = None
     return out
 
 

@@ -13,11 +13,11 @@ bound.  A box that can be neither cut nor claimed is the subdivision's one
 failure.  Each zero's multiplicity is the winding count of the box that
 claims it.  A winding count compares Simpson rules at doubling sample
 counts and takes each exponential once: f and f' share the generator
-exponentials of a contour, and a refined contour computes them at its new
-samples only.  The first contours of both halves of every cut in a
-generation are evaluated together, up to _BATCH_CONTOURS per evaluation,
-and each contour's values are bitwise its own; only a contour that does
-not settle there is refined alone.
+exponentials of a contour, and a refined contour forms its points,
+exponentials and envelope at its new samples only.  The first contours of
+both halves of every cut in a generation are evaluated together, up to
+_BATCH_CONTOURS per evaluation, and each contour's values are bitwise its
+own; only a contour that does not settle there is refined alone.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
@@ -197,10 +197,12 @@ class _Workspace:
         """f'/f at points, or their Exponentials, with envelope env; NaN marks
         a sample on or next to a zero, so each contour of a batch is judged alone."""
         fv = evaluate_array(self.f, zs)
+        bad = np.abs(fv) <= _CLEARANCE_REL * env
+        bad |= ~np.isfinite(fv)
         dv = evaluate_array(self.df, zs)
-        bad = ~np.isfinite(fv) | ~np.isfinite(dv) | (np.abs(fv) <= _CLEARANCE_REL * env)
+        bad |= ~np.isfinite(dv)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = dv / fv
+            out = np.divide(dv, fv, out=dv)
         out[bad] = np.nan
         return out
 
@@ -224,17 +226,17 @@ def _simpson_value(deltas: np.ndarray, edges: np.ndarray) -> complex:
     return complex(deltas @ (edges @ _simpson_weights(edges.shape[1] - 1))) / (2j * math.pi)
 
 
-def _contours(rects: list[Rect], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _contours(rects: list[Rect], n: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Steps between the corners of each rect, counterclockwise from (re_min,
-    im_min), one row per rect; and n + 1 evenly spaced points on each edge,
-    edge by edge and rect by rect."""
+    im_min), one row per rect; and the points at t = k/n, k = 0..n (odd: k
+    odd only), on each edge, edge by edge and rect by rect."""
     corners = np.array([
         [complex(r.re_min, r.im_min), complex(r.re_max, r.im_min),
          complex(r.re_max, r.im_max), complex(r.re_min, r.im_max)]
         for r in rects
     ])
     deltas = np.roll(corners, -1, axis=1) - corners
-    t = np.arange(n + 1) / n
+    t = np.arange(int(odd), n + 1, 1 + odd) / n
     return deltas, (corners[..., None] + deltas[..., None] * t).ravel()
 
 
@@ -266,25 +268,39 @@ def _first_levels(
             yield steps, level._replace(points=zs[part], values=values), edges
 
 
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """A contour's samples, edge by edge, from the level below's and the odd ones."""
+    out = np.empty((4, 2 * odd.shape[1] + 1), dtype=odd.dtype)
+    out[:, ::2], out[:, 1::2] = even.reshape(4, -1), odd
+    return out.ravel()
+
+
 def _winding(ws: _Workspace, rect: Rect, first: tuple | None = None) -> int:
     """Winding number of f around rect: Simpson values at n and 2n samples per
     edge, n doubling from _EDGE_SAMPLES, until two agree near an integer.  A
     contour's even samples are the last one's (t = 2k/2n is bitwise k/n): the
     first, at 2 * _EDGE_SAMPLES, gives the coarser value from them, and each
-    later one takes exponentials at its odd samples only.  first is rect's
+    later one forms its odd points, their exponentials and its envelope at
+    their abscissae on the horizontal edges, and interleaves them with the
+    last one's; f and f' are evaluated at all its samples.  first is rect's
     item of _first_levels when a batch has already evaluated it."""
     deltas, level, edges = first or next(_first_levels(ws, [rect]))
-    prev = None
+    prev = env = None
     for doubling in range(1, _MAX_EDGE_DOUBLINGS + 1):
         n = _EDGE_SAMPLES << doubling
         if prev is not None:
-            zs = _contours([rect], n)[1]
-            odd = generator_exponentials(ws.f, zs.reshape(4, n + 1)[:, 1::2]).values
-            values = [np.empty((4, n + 1), dtype=np.complex128) for _ in odd]
-            for u, even, new in zip(values, level.values, odd):
-                u[:, ::2], u[:, 1::2] = even.reshape(4, -1), new
-            level = level._replace(points=zs, values=[u.ravel() for u in values])
-            edges = ws.ratio(level, _envelope(ws, zs, n)).reshape(4, n + 1)
+            if env is None:  # the first level's, bitwise as its batch formed it
+                env = _envelope(ws, level.points, n // 2)
+            odd = _contours([rect], n, odd=True)[1].reshape(4, -1)
+            new = generator_exponentials(ws.f, odd).values
+            odd_env = np.empty((2, 2, n // 2))  # per contour (bottom, right), (top, left)
+            odd_env[:, 0] = coefficient_envelope(ws.f, odd.real.reshape(2, 2, -1)[:, 0])
+            odd_env[:, 1] = env.reshape(2, 2, -1)[:, 1, :1]
+            env = _interleave(env, odd_env.reshape(4, -1))
+            level = level._replace(points=_interleave(level.points, odd))
+            level = level._replace(values=[_interleave(u, v) for u, v in zip(level.values, new)])
+            del edges, odd, new, odd_env  # free the level below's samples before evaluating
+            edges = ws.ratio(level, env).reshape(4, n + 1)
         if np.isnan(edges).any():
             raise ContourOnZeroError("quadrature sample sits on or next to a zero")
         if prev is None:

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from expmean import sums
 from expmean.errors import InputError, NumericalError
 from expmean.exact import GR_ONE, GaussianRational
 from expmean.sums import (
@@ -405,6 +406,57 @@ def test_shared_exponentials_evaluate_bitwise_as_fresh_points(f, shares):
     assert np.isnan(evaluate_array(f, poisoned)).all()
     got = evaluate_array(df, poisoned)
     assert np.isnan(got).all() if shares else got.tobytes() == evaluate_array(df, zs).tobytes()
+
+
+def _reference_power_sum(f, e, coeffs):
+    """The whole-array kernel: each power and each term a full-size array,
+    added into a zero-filled accumulator."""
+    _, needs, factors = f._generators
+    tables = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, (top, used) in zip(e.values, needs):
+            cur, table = u, {1: u}
+            for p in range(2, top + 1):
+                cur = cur * u
+                if p in used:
+                    table[p] = cur
+            tables.append(table)
+        out = np.zeros(e.points.shape, dtype=np.result_type(e.points, coeffs))
+        for c, row in zip(coeffs, factors):
+            for j, p in row:
+                c = c * tables[j][p]
+            out += c
+    return out
+
+
+BLOCK_SIZES = [1, sums._BLOCK - 1, sums._BLOCK, sums._BLOCK + 1, 3 * sums._BLOCK + 5]
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "f",
+    [
+        exp_sum([(6, 0), (-5, "1/2"), (1, 1)]),
+        exp_sum([(1, (0, 0, 0)), (2j, (1, 0, 0)), (-1, (0, 1, 0)), (3, (1, 1, 1))],
+                FrequencyBasis(("1", SQRT2, SQRT3))),
+        exp_sum([(1, -1), (2j, 0), (-1, "1/65"), (1, 1)]),
+    ],
+    ids=["laurent-image", "sqrt-lattice", "one-per-frequency"],
+)
+def test_blocked_evaluation_is_bitwise_the_whole_array_sum(f, size):
+    rng = np.random.default_rng(size)
+    # a third of the real parts reach far enough that some terms overflow or underflow
+    zs = rng.uniform(-2, 2, size) + 1j * rng.uniform(-2, 2, size)
+    zs[::3] = rng.uniform(-300, 300, zs[::3].size) + 1j * rng.uniform(-50, 50, zs[::3].size)
+    for g in (f, derivative(f)):
+        coeffs = g.numeric_parts[1]
+        e = generator_exponentials(g, zs)
+        poisoned = e._replace(values=[np.where(rng.random(size) < 0.1, np.nan, u) for u in e.values])
+        for pts in (e, poisoned):
+            want = _reference_power_sum(g, pts, coeffs)
+            assert evaluate_array(g, pts).tobytes() == want.tobytes()
+        want = _reference_power_sum(g, generator_exponentials(g, zs.real), np.abs(coeffs))
+        assert coefficient_envelope(g, zs.real).tobytes() == want.tobytes()
 
 
 def test_add_and_multiply_are_pointwise():

@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -678,17 +679,44 @@ def test_capped_contour_ends_at_the_refinement_cap(monkeypatch):
 
 
 def test_winding_envelope_is_the_pointwise_envelope(monkeypatch):
-    # _winding evaluates the envelope once per abscissa of the vertical edges
-    ws = _Workspace(THREE_TERM)
-    ratio, calls = ws.ratio, []
+    # _winding evaluates the envelope once per abscissa of the vertical edges,
+    # and a refined level takes the level below's at its even samples
+    cases = [(THREE_TERM, Rect(-0.7, 0.4, -2.3, 1.9), 8, 1),
+             (TWO_TERM, Rect(0, 1, 0.1, 0.8), ContourTooCloseError, 11),  # capped
+             (THREE_TERM, Rect(0.1113, 1, -0.3, 0.3), 1, 2)]
+    for f, rect, expected, levels in cases:
+        ws = _Workspace(f)
+        ratio, calls = ws.ratio, []
 
-    def spy(zs, env):
-        calls.append(np.array_equal(env, coefficient_envelope(ws.f, zs.points.real)))
-        return ratio(zs, env)
+        def spy(zs, env):
+            calls.append(np.array_equal(env, coefficient_envelope(ws.f, zs.points.real)))
+            return ratio(zs, env)
 
-    monkeypatch.setattr(ws, "ratio", spy)
-    assert _winding(ws, Rect(-0.7, 0.4, -2.3, 1.9)) == 8
-    assert calls and all(calls)
+        monkeypatch.setattr(ws, "ratio", spy)
+        assert _outcome(_winding, ws, rect) == expected
+        assert len(calls) >= levels and all(calls)
+
+
+def test_capped_contour_peak_memory():
+    # a capped climb holds the top level's points, exponentials, envelope, f
+    # and f' (4.5 times its complex array) and little more; powers and terms
+    # formed as whole arrays would each add a full-size array
+    top = 4 * ((zerofind._EDGE_SAMPLES << zerofind._MAX_EDGE_DOUBLINGS) + 1) * 16
+    laurent = exp_sum([(1, 0), (2, "1/2"), (1j, 1), (-2, "3/2"), (1, 2)])
+    # the zeros i/2 and about 0.1001 + 0.1753i lie on the left edges
+    for f, rect in [(TWO_TERM, Rect(0, 1, 0.1, 0.8)),
+                    (laurent, Rect(0.10011009644206033, 1.1, 0.0, 0.5))]:
+        ws = _Workspace(f)
+        with pytest.raises(ContourTooCloseError):
+            _winding(ws, rect)  # warms the caches a climb fills
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContourTooCloseError):
+                _winding(ws, rect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * top, (rect, peak / top)
 
 
 @pytest.mark.parametrize(
