@@ -386,23 +386,23 @@ def generator_exponentials(f: ExponentialSum, w: np.ndarray) -> Exponentials:
     """exp(2*pi*g_j*w) for each generator g_j of f: all that array evaluation exponentiates."""
     scales = f._generators[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        return Exponentials(w, scales, [np.exp(x, out=x) for x in (s * w for s in scales)])
+        xs = (s * w for s in scales)  # in place, but a 0-d w gives scalars, not arrays
+        return Exponentials(w, scales, [np.exp(x, out=x) if x.ndim else np.exp(x) for x in xs])
 
 
 def _power_sum(f: ExponentialSum, e: Exponentials, coeffs: np.ndarray) -> np.ndarray:
     """sum_i coeffs[i] * prod_j u_j**P_ij for the generator exponentials u_j of f
     in e, _BLOCK points at a time: a block's powers (those terms use) and terms stay in cache."""
     _, needs, factors = f._generators
-    dtype = np.result_type(e.points, coeffs)
-    if e.points.size <= _BLOCK:  # one block, the whole array, summed into zeros
-        out = np.zeros(e.points.shape, dtype)
-        blocks = [(e.values, out, None)]
-    else:  # each block's sum is 0 + its first term + ..., as a whole array's
-        out, values = np.empty(e.points.shape, dtype), [u.reshape(-1) for u in e.values]
-        blocks = [([u[s:s + _BLOCK] for u in values], out.reshape(-1)[s:s + _BLOCK],
-                   np.zeros((), dtype)) for s in range(0, out.size, _BLOCK)]
+    out = np.zeros(e.points.shape, np.result_type(e.points, coeffs))
+    if out.size <= _BLOCK:  # one block, the whole array
+        blocks = [(e.values, out)]
+    else:  # each element is summed 0 + its first term + ..., as in one block
+        values = [u.reshape(-1) for u in e.values]
+        blocks = [([u[s:s + _BLOCK] for u in values], out.reshape(-1)[s:s + _BLOCK])
+                  for s in range(0, out.size, _BLOCK)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for values, acc, zero in blocks:
+        for values, acc in blocks:
             tables = []
             for u, (top, used) in zip(values, needs):
                 cur, table = u, {1: u}
@@ -414,11 +414,7 @@ def _power_sum(f: ExponentialSum, e: Exponentials, coeffs: np.ndarray) -> np.nda
             for c, row in zip(coeffs, factors):
                 for j, p in row:
                     c = c * tables[j][p]
-                if zero is None:
-                    acc += c
-                else:
-                    np.add(zero, c, out=acc)
-                    zero = None
+                acc += c
     return out
 
 

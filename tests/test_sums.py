@@ -317,6 +317,11 @@ def test_evaluate_array_matches_scalar():
     arr = evaluate_array(f, zs)
     for z, v in zip(zs, arr):
         assert abs(v - evaluate(f, z)) < 1e-12 * (1 + abs(v))
+    # a scalar is a 0-d array, evaluated as the same point of an array
+    one, env = evaluate_array(f, zs[3]), coefficient_envelope(f, zs[3].real)
+    assert one.shape == env.shape == ()
+    assert one.tobytes() == arr[3].tobytes()
+    assert env.tobytes() == coefficient_envelope(f, zs.real)[3].tobytes()
 
 
 def _kernel_cases():
@@ -440,8 +445,9 @@ BLOCK_SIZES = [1, sums._BLOCK - 1, sums._BLOCK, sums._BLOCK + 1, 3 * sums._BLOCK
         exp_sum([(1, (0, 0, 0)), (2j, (1, 0, 0)), (-1, (0, 1, 0)), (3, (1, 1, 1))],
                 FrequencyBasis(("1", SQRT2, SQRT3))),
         exp_sum([(1, -1), (2j, 0), (-1, "1/65"), (1, 1)]),
+        exp_sum([(3, 0)]),  # f' is the zero sum, which no term fills
     ],
-    ids=["laurent-image", "sqrt-lattice", "one-per-frequency"],
+    ids=["laurent-image", "sqrt-lattice", "one-per-frequency", "constant"],
 )
 def test_blocked_evaluation_is_bitwise_the_whole_array_sum(f, size):
     rng = np.random.default_rng(size)
