@@ -251,10 +251,9 @@ def cmd_mean(problem: Problem, args: argparse.Namespace) -> dict:
 def cmd_density(problem: Problem, args: argparse.Namespace) -> dict:
     f = problem.f
     density = mean_zero_count(f)
-    span = f.terms[-1].freq - f.terms[0].freq
     out: dict[str, Any] = {
         "density": density,
-        "span": _freq_to_json(span, f.basis),
+        "span": _freq_to_json(f.difference(-1, 0), f.basis),
     }
     if args.R is not None:
         found = search_zeros(f, args.R)

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError, NumericalError, ResourceLimitError
-from .sums import ExponentialSum, lattice
+from .sums import ExponentialSum, align
 
 # np.roots builds a companion matrix of this order: at 1024 it takes about
 # 4 s on one core and 16 MB, and the cost grows with the cube of the degree
@@ -121,12 +121,10 @@ def laurent_images(
         raise InputError("substitution requires the default rational basis")
     if f.is_zero():
         raise InputError("mean value requires a non-zero denominator sum")
-    lat = lattice(f.basis, [t.freq for s in (f, g) for t in s.terms])
-    q = lat.den[0]
+    grid, points = align([f, g])
+    q = grid.den[0]
     if q > sys.float_info.max:
         raise InputError("the common denominator of the frequencies is beyond double range")
-
-    def to_laurent(s: ExponentialSum) -> LaurentPolynomial:
-        return LaurentPolynomial({lat.point(t.freq)[0]: t.coeff for t in s.to_float_mode().terms})
-
-    return to_laurent(f), to_laurent(g), q
+    f_poly, g_poly = (LaurentPolynomial({p[0]: c for p, c in zip(pts, s.to_float_mode().coeffs)})
+                      for s, pts in zip((f, g), points))
+    return f_poly, g_poly, q

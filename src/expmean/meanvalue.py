@@ -11,14 +11,10 @@ series over the semigroup those frequencies generate, and its coefficients
 follow from the power-series inversion recurrence in one pass outward from
 frequency zero.  Only the finitely many terms within the frequency reach of
 g * f' can meet it at frequency 0, so the constant term is well defined.
-The pass walks the int lattice of ftilde_k's frequencies (sums.lattice),
-each point keyed by one int, with complex coefficients in float mode and
-Gaussian-integer numerators over powers of one common denominator in exact
-mode, and raises ResourceLimitError once it has queued more than
-_MAX_SERIES_TERMS points or stored numerators of more than _MAX_SERIES_BITS
-bits in all.  The terms of g * f' sit on a second lattice, over them and the
-k-th term, where the cutoff is an int and each term finds its mate in the
-series by walk key.
+The pass (truncated_reciprocal) walks the int points of ftilde_k's lattice.
+mean_value puts f and the products g * f' on one lattice (sums.align), where
+each product term's mate is an int point, the cutoff an int, and the mate's
+coefficient one walk-key lookup.
 The mean value of g over the zeros of f, per unit height of a widening
 horizontal window, is
 
@@ -51,17 +47,15 @@ from .exact import GR_ONE, GR_ZERO, GaussianRational
 from .sums import (
     Coeff,
     End,
-    ExpTerm,
     ExponentialSum,
     Frequency,
     FrequencyBasis,
     TWO_PI,
+    align,
     derivative,
     divide_by_extreme_term,
-    extreme_term,
-    lattice,
+    from_points,
     multiply,
-    normalize,
     reject_shared_value,
 )
 
@@ -110,15 +104,14 @@ class TruncatedSeries:
     @cached_property
     def sum(self) -> ExponentialSum:
         """The series as a sum, built on first read."""
-        radix, terms = 2 * self.lim + 1, []
+        radix, pairs = 2 * self.lim + 1, []
         for key, c in self.terms.items():
-            coords = []  # coordinate n - 1 first
-            for d in reversed(self.den):
-                digit = (key + self.lim) % radix - self.lim
-                coords.append(Fraction(digit, d))
-                key = (key - digit) // radix
-            terms.append(ExpTerm(c, Frequency(tuple(reversed(coords)))))
-        return ExponentialSum(tuple(terms), self.basis, self.exact)
+            point = []  # coordinate n - 1 first
+            for _ in self.den:
+                key, digit = divmod(key + self.lim, radix)
+                point.append(digit - self.lim)
+            pairs.append((tuple(reversed(point)), c))
+        return from_points(pairs, self.basis, self.den, self.exact)
 
 
 @dataclass(frozen=True)
@@ -176,9 +169,7 @@ def _keep(kept: list, dist: int, key: int, value) -> None:
     kept.append((dist, key, value))
 
 
-def truncated_reciprocal(
-    ftilde: ExponentialSum, end: End, cutoff: CutoffLike
-) -> TruncatedSeries:
+def truncated_reciprocal(ftilde: ExponentialSum, end: End, cutoff: CutoffLike) -> TruncatedSeries:
     """Reciprocal of a sum whose constant term is one, up to the cutoff.
 
     For end=FIRST every other frequency beta of ftilde must be positive
@@ -191,10 +182,10 @@ def truncated_reciprocal(
     one pass over the points of the semigroup generated by the betas, in
     increasing distance from zero up to the cutoff, gives every term.
 
-    The pass runs on the lattice of ftilde's frequencies (sums.lattice), so
-    distances are ints.  A point is one int key, its coordinates as
-    balanced digits in radix 2*lim + 1 with coordinate 0 leading, where
-    every point the pass reaches or looks up has coordinates in [-lim, lim]:
+    The pass runs on the int points of ftilde's lattice, so distances are
+    ints.  A point is one int key, its coordinates as balanced digits in
+    radix 2*lim + 1 with coordinate 0 leading, where every point the pass
+    reaches or looks up has coordinates in [-lim, lim]:
     a step is one int add, a lookup one int-keyed dict get, and keys order
     as the coordinate tuples do.  Float mode runs the recurrence on complex
     numbers, adding the betas in the order of ftilde's terms.  Exact mode
@@ -214,22 +205,20 @@ def truncated_reciprocal(
     NumericalError once a coefficient overflows.
     """
     cut = _as_cutoff(cutoff)
-    basis = ftilde.basis
-    n = len(basis)
-    one = ftilde.coefficient_at(Frequency((Fraction(0),) * n))
+    n = len(ftilde.basis)
+    grid, (points,) = align([ftilde])
+    one = dict(zip(points, ftilde.coeffs)).get((0,) * n)
     if one != (GR_ONE if ftilde.exact else 1):
         raise InputError("reciprocal expansion requires a constant term equal to one")
     sign = 1 if end is End.FIRST else -1
-    lat = lattice(basis, (t.freq for t in ftilde.terms))
-    int_cut = math.floor(cut * lat.scale)
-    steps = []  # (beta on the lattice, its distance from zero, -c_beta)
-    for t in ftilde.terms:
-        beta = lat.point(t.freq)
-        dist = sign * lat.value(beta)
+    int_cut = math.floor(cut * grid.scale)
+    steps = []  # (beta as a point, its distance from zero, -c_beta)
+    for beta, c in zip(points, ftilde.coeffs):
+        dist = sign * grid.value(beta)
         if dist < 0:
             raise InputError(f"{end.value}-end expansion given a frequency past its end")
         if 0 < dist <= int_cut:
-            steps.append((beta, dist, -t.coeff))
+            steps.append((beta, dist, -c))
 
     # a reached point is at most int_cut // least steps from zero, so it and
     # the points one step behind it have coordinates in [-lim, lim]
@@ -287,40 +276,42 @@ def truncated_reciprocal(
                 _keep(kept, dist, key, r)
     if end is End.LAST:
         kept.reverse()
-    return TruncatedSeries({key: r for _, key, r in kept}, lat.den, lim, basis, ftilde.exact)
+    return TruncatedSeries({k: r for _, k, r in kept}, grid.den, lim, ftilde.basis, ftilde.exact)
 
 
 def _derivative_products(f: ExponentialSum, g: ExponentialSum) -> list[ExponentialSum]:
     """[g * f'] in float mode; g * D_j f for each basis coordinate j in exact mode."""
     if not f.exact:
         return [multiply(g, derivative(f))]
+    grid, (points,) = align([f])
     # terms of value 0 vanish from f', as in derivative
-    moving = [t for t in f.terms if f.basis.value_key(t.freq) != 0]
-    scaled = [[ExpTerm(t.coeff * GaussianRational(t.freq.coords[j], Fraction(0)), t.freq)
-               for t in moving] for j in range(len(f.basis))]
-    return [multiply(g, normalize(d_j, f.basis, exact=True)) for d_j in scaled]
+    moving = [(p, c) for p, c in zip(points, f.coeffs) if grid.value(p)]
+    return [multiply(g, from_points([(p, c * GaussianRational(Fraction(p[j], d), Fraction(0)))
+                                     for p, c in moving], f.basis, grid.den, exact=True))
+            for j, d in enumerate(grid.den)]
 
 
 def _a_value(f: ExponentialSum, products: list[ExponentialSum], end: End):
     """Constant term A at the chosen end from _derivative_products: a complex in
     float mode, the coordinates (A_j) with A = 2*pi * sum_j A_j * basis[j] in exact mode."""
-    ext = extreme_term(f, end)
-    inv = (GR_ONE if f.exact else 1.0) / ext.coeff
+    k = 0 if end is End.FIRST else -1
+    inv = (GR_ONE if f.exact else 1.0) / f.coeffs[k]
     zero = GR_ZERO if f.exact else 0j
-    lat = lattice(f.basis, [ext.freq, *(t.freq for p in products for t in p.terms)])
-    top = lat.point(ext.freq)
+    grid, (points, *product_points) = align([f, *products])
+    top = points[k]
     # each product term over the extreme one, as (coefficient, point of its mate ext - t)
-    quotients = [[(c, tuple(map(operator.sub, top, lat.point(t.freq))))
-                  for t in p.terms if (c := t.coeff * inv) != zero] for p in products]
+    quotients = [[(c, tuple(map(operator.sub, top, t)))
+                  for t, c0 in zip(pts, p.coeffs) if (c := c0 * inv) != zero]
+                 for p, pts in zip(products, product_points)]
     sign = 1 if end is End.FIRST else -1
-    reach = max((sign * lat.value(m) for p in quotients for _, m in p), default=None)
+    reach = max((sign * grid.value(m) for p in quotients for _, m in p), default=None)
     coords = [zero] * len(products)
     if reach is not None:
-        cut = Fraction(max(0, reach), lat.scale)
+        cut = Fraction(max(0, reach), grid.scale)
         series = truncated_reciprocal(divide_by_extreme_term(f, end), end, cut)
         for j, p in enumerate(quotients):
             for c, m in p:
-                mate = series.lookup(m, lat.den)
+                mate = series.lookup(m, grid.den)
                 if mate is not None:
                     coords[j] = coords[j] + c * mate
     return tuple(coords) if f.exact else coords[0]
@@ -335,9 +326,7 @@ def _to_complex_A(coords: tuple[GaussianRational, ...], basis: FrequencyBasis) -
     return acc
 
 
-def support_semigroup_generators(
-    f: ExponentialSum,
-) -> tuple[list[Frequency], list[Frequency]]:
+def support_semigroup_generators(f: ExponentialSum) -> tuple[list[Frequency], list[Frequency]]:
     """Difference sets at each end: (lowest - others, highest - others).
 
     The mean of exp(2*pi*a*z) over the zeros of f can only be nonzero
@@ -347,12 +336,9 @@ def support_semigroup_generators(
     """
     if f.is_zero():
         raise InputError("zero sum has no frequency ends")
-    first = f.terms[0].freq
-    last = f.terms[-1].freq
-    return (
-        [first - t.freq for t in reversed(f.terms[1:])],
-        [last - t.freq for t in reversed(f.terms[:-1])],
-    )
+    n = f.num_terms()
+    return ([f.difference(0, i) for i in range(n - 1, 0, -1)],
+            [f.difference(-1, i) for i in range(n - 2, -1, -1)])
 
 
 def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:
@@ -383,19 +369,11 @@ def mean_value(f: ExponentialSum, g: ExponentialSum) -> MeanValueResult:
         if not exact_extras:
             raise NumericalError("mean value is not finite in double precision")
         a_first = a_last = mean = None
-    return MeanValueResult(
-        A_first=a_first,
-        A_last=a_last,
-        mean=mean,
-        neg_generators=neg,
-        pos_generators=pos,
-        **exact_extras,
-    )
+    return MeanValueResult(a_first, a_last, mean, neg, pos, **exact_extras)
 
 
 def mean_zero_count(f: ExponentialSum) -> float:
     """Mean number of zeros per unit height: highest minus lowest frequency."""
     if f.is_zero():
         raise InputError("zero sum has no zero count")
-    vals = f.freq_values()
-    return float(vals[-1] - vals[0])
+    return f.span

@@ -1,13 +1,13 @@
 """Exponential sums with exact real frequencies.
 
 A sum is a finite list of terms ``c * exp(2*pi*a*z)`` with complex ``c`` and
-real ``a``.  Frequencies are stored exactly as vectors of rationals over a
-user-declared basis of positive reals, so that merging, ordering, and
-constant-term extraction never depend on floating-point equality.  The basis
-reals themselves enter only through high-precision decimal strings; their
-Q-linear independence is asserted by the caller, not verified.  Bookkeeping
-runs on the int lattice of the frequencies at hand (see Lattice): merging
-keys terms by int vector, and ordering and the tie check compare int values.
+real ``a``.  Frequencies are exact rational vectors over a basis of positive
+reals, given as high-precision decimal strings whose Q-linear independence
+the caller asserts.  A sum holds each frequency as an int point of one
+Lattice, the coarsest over its terms, so equal sums are equal field by field,
+and merging, ordering and ties compare ints, never floats.  Only this module
+builds or joins lattices; Frequency, the Fraction vector, serves parsing and
+reading a sum's terms.
 
 Coefficients come in two modes, carried by the sum and required to match
 across operands: ``complex`` floats for numeric pipelines, or
@@ -48,6 +48,7 @@ from .exact import GR_ONE, GR_ZERO, GaussianRational, as_fraction
 TWO_PI = 2.0 * math.pi
 _MAX_POWER = 64
 _BLOCK = 8192  # points per block of array evaluation, whose terms stay in cache
+_MAX_DOUBLE = int(sys.float_info.max)
 
 Coeff = Union[complex, GaussianRational]
 
@@ -69,7 +70,7 @@ class FrequencyBasis:
     detection use.
     """
 
-    __slots__ = ("values", "fraction_values", "float_values", "_key_cache")
+    __slots__ = ("values", "fraction_values", "float_values", "_lattices")
 
     def __init__(self, values: Sequence[str] = ("1",)):
         if len(values) == 0:
@@ -87,7 +88,7 @@ class FrequencyBasis:
         self.values: tuple[str, ...] = tuple(str(s) for s in values)
         self.fraction_values: tuple[Fraction, ...] = tuple(fracs)
         self.float_values: tuple[float, ...] = tuple(floats)
-        self._key_cache: dict[tuple[Fraction, ...], Fraction] = {}
+        self._lattices: dict[tuple[int, ...], Lattice] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -102,20 +103,23 @@ class FrequencyBasis:
         return f"FrequencyBasis({list(self.values)!r})"
 
     def is_default(self) -> bool:
-        return self.fraction_values == (Fraction(1),)
+        return len(self.fraction_values) == 1 and self.fraction_values[0] == 1
 
     def value_key(self, freq: "Frequency") -> Fraction:
         """Exact rational image of a frequency under this basis."""
-        coords = freq.coords
-        if len(coords) != len(self.fraction_values):
-            raise InputError(
-                f"frequency has {len(coords)} coordinates, basis has {len(self.fraction_values)}"
-            )
-        key = self._key_cache.get(coords)
-        if key is None:
-            key = sum((q * b for q, b in zip(coords, self.fraction_values)), Fraction(0))
-            self._key_cache[coords] = key
-        return key
+        if len(freq.coords) != len(self):
+            raise InputError(f"frequency has {len(freq.coords)} coordinates, basis has {len(self)}")
+        return sum((q * b for q, b in zip(freq.coords, self.fraction_values)), Fraction(0))
+
+    def lattice(self, den: tuple[int, ...]) -> "Lattice":
+        """The lattice with coordinate i in units of 1/den[i], kept per den; its
+        scale is the common denominator of the basis values over den."""
+        if den not in self._lattices:
+            units = [b / d for b, d in zip(self.fraction_values, den)]
+            scale = math.lcm(*(u.denominator for u in units))
+            weights = tuple(u.numerator * (scale // u.denominator) for u in units)
+            self._lattices[den] = Lattice(den, weights, scale)
+        return self._lattices[den]
 
 
 DEFAULT_BASIS = FrequencyBasis(("1",))
@@ -157,31 +161,18 @@ class Frequency:
 
 
 class Lattice(NamedTuple):
-    """Frequencies as int vectors: coordinate i in units of 1/den[i], and the
+    """Frequencies as int points: coordinate i in units of 1/den[i], and the
     value of a point sum_i k_i * weights[i] in units of 1/scale."""
 
     den: tuple[int, ...]
     weights: tuple[int, ...]
     scale: int
 
-    def point(self, freq: Frequency) -> tuple[int, ...]:
-        return tuple(q.numerator * (d // q.denominator) for q, d in zip(freq.coords, self.den))
-
     def value(self, point: Sequence[int]) -> int:
         return sum(map(operator.mul, point, self.weights))
 
-
-def lattice(basis: FrequencyBasis, freqs: Iterable[Frequency]) -> Lattice:
-    """The coarsest lattice holding every frequency of freqs; scale is the
-    common denominator of the basis values over den."""
-    coords = [f.coords for f in freqs]
-    for c in coords:
-        if len(c) != len(basis):
-            raise InputError(f"term frequency has {len(c)} coordinates, basis has {len(basis)}")
-    den = tuple(math.lcm(*(c[i].denominator for c in coords)) for i in range(len(basis)))
-    units = [b / d for b, d in zip(basis.fraction_values, den)]
-    scale = math.lcm(*(u.denominator for u in units))
-    return Lattice(den, tuple(u.numerator * (scale // u.denominator) for u in units), scale)
+    def freq(self, point: Sequence[int]) -> Frequency:
+        return Frequency(tuple(map(Fraction, point, self.den)))
 
 
 def reject_shared_value() -> NoReturn:
@@ -236,29 +227,45 @@ def _read_part(x, exact: bool) -> Fraction | float:
 class ExponentialSum:
     """Finite exponential sum; terms sorted by strictly increasing frequency.
 
-    The empty term list denotes the zero function.  Instances are immutable
-    and safe to share between threads.
+    Term i is coeffs[i] * exp(2*pi*a_i*z), a_i the value of points[i] on
+    lattice, the coarsest lattice over the terms.  The empty term list
+    denotes the zero function.  Instances are immutable and safe to share
+    between threads.
     """
 
-    terms: tuple[ExpTerm, ...]
+    coeffs: tuple[Coeff, ...]
+    points: tuple[tuple[int, ...], ...]
+    lattice: Lattice
     basis: FrequencyBasis
     exact: bool
 
+    @cached_property
+    def terms(self) -> tuple[ExpTerm, ...]:
+        """The terms with Frequency vectors, built on first read."""
+        return tuple(map(ExpTerm, self.coeffs, map(self.lattice.freq, self.points)))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.points
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self.points)
 
     def freq_values(self) -> list[Fraction]:
-        return [self.basis.value_key(t.freq) for t in self.terms]
+        return [Fraction(self.lattice.value(p), self.lattice.scale) for p in self.points]
+
+    @cached_property
+    def span(self) -> float:
+        """a_n - a_1 of a nonzero sum, rounded as float(Fraction) rounds it."""
+        lat = self.lattice
+        return (lat.value(self.points[-1]) - lat.value(self.points[0])) / lat.scale
+
+    def difference(self, i: int, j: int) -> Frequency:
+        """Frequency of term i minus that of term j."""
+        return self.lattice.freq(tuple(map(operator.sub, self.points[i], self.points[j])))
 
     def coefficient_at(self, freq: Frequency) -> Coeff:
         """Coefficient of the given frequency vector (zero if absent)."""
-        for t in self.terms:
-            if t.freq == freq:
-                return t.coeff
-        return GR_ZERO if self.exact else 0j
+        return next((t.coeff for t in self.terms if t.freq == freq), GR_ZERO if self.exact else 0j)
 
     @cached_property
     def numeric_parts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -266,16 +273,16 @@ class ExponentialSum:
         an exact sum's being that of to_float_mode, so it may raise NumericalError."""
         if self.exact:
             return self.to_float_mode().numeric_parts
-        freqs = np.array([float(v) for v in self.freq_values()], dtype=np.float64)
-        return freqs, np.array([t.coeff for t in self.terms], dtype=np.complex128)
+        lat = self.lattice
+        freqs = np.array([lat.value(p) / lat.scale for p in self.points], dtype=np.float64)
+        return freqs, np.array(self.coeffs, dtype=np.complex128)
 
     @cached_property
     def _generators(self) -> tuple[list[float], list, list[list[tuple[int, int]]]]:
         """(2*pi*g_j; for each j the top power and the powers terms use; for each
         term its (j, P_ij) with P_ij > 0), a_i = sum_j P_ij g_j; see the module docstring."""
-        freqs, lat = self.numeric_parts[0], lattice(self.basis, (t.freq for t in self.terms))
-        powers = np.array([lat.point(t.freq) for t in self.terms], dtype=object)  # may pass 2**63
-        powers = powers.reshape(-1, len(self.basis))
+        freqs, lat = self.numeric_parts[0], self.lattice
+        powers = np.array(self.points, dtype=object).reshape(-1, len(self.basis))  # may pass 2**63
         used = (powers != 0).any(axis=0)
         if np.all((powers >= 0) & (powers <= _MAX_POWER)) and used.sum() < np.count_nonzero(freqs):
             gens = [w / lat.scale for w in lat.weights]
@@ -291,18 +298,18 @@ class ExponentialSum:
         if not self.exact:
             return self
         try:
-            raw = [ExpTerm(_coerce_coeff(t.coeff, False), t.freq) for t in self.terms]
+            coeffs = tuple(_coerce_coeff(c, False) for c in self.coeffs)
         except InputError as exc:
             raise NumericalError("exact coefficient does not fit a double") from exc
-        return normalize(raw, self.basis, exact=False)
+        return ExponentialSum(coeffs, self.points, self.lattice, self.basis, False)
 
     def __add__(self, other: "ExponentialSum") -> "ExponentialSum":
         return add(self, other)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.points:
             return "ExponentialSum(0)"
-        bits = [f"{t.coeff!r}*e(2pi*{self.basis.value_key(t.freq)}*z)" for t in self.terms]
+        bits = [f"{c!r}*e(2pi*{v}*z)" for c, v in zip(self.coeffs, self.freq_values())]
         return "ExponentialSum(" + " + ".join(bits) + ")"
 
 
@@ -313,31 +320,48 @@ def _check_same_basis(a: ExponentialSum, b: ExponentialSum) -> None:
         raise InputError("operands mix exact and float coefficient modes")
 
 
-def normalize(raw_terms: Iterable[ExpTerm], basis: FrequencyBasis, exact: bool) -> ExponentialSum:
-    """Merge equal frequencies, drop zero coefficients, sort ascending; every
-    operation of this module builds its result here.
-
-    Idempotent.  Every coefficient must be of the mode ``exact`` names.
-    Raises if two distinct frequency vectors collide at the same numeric
-    value, which can only happen when the declared basis is not Q-linearly
-    independent at the represented precision.
-    """
-    terms = list(raw_terms)
-    lat = lattice(basis, (t.freq for t in terms))
-    merged: dict[tuple[int, ...], tuple[Frequency, Coeff]] = {}  # the first frequency seen
-    for t in terms:
-        if isinstance(t.coeff, GaussianRational) != exact:
-            raise InputError("term list mixes exact and float coefficients")
-        key = lat.point(t.freq)
-        prev = merged.get(key)
-        merged[key] = (t.freq, t.coeff) if prev is None else (prev[0], prev[1] + t.coeff)
-
-    kept = [(lat.value(key), f, c) for key, (f, c) in merged.items()
-            if not (c.is_zero() if exact else c == 0)]
-    kept.sort(key=lambda vfc: vfc[0])
+def from_points(pairs: Iterable[tuple[tuple[int, ...], Coeff]], basis: FrequencyBasis,
+                den: tuple[int, ...], exact: bool) -> ExponentialSum:
+    """The sum of (point, coefficient) pairs, coordinate i in units of 1/den[i]:
+    every sum is built here.  Equal points merge, adding coefficients in order,
+    zero coefficients drop, and the terms sort ascending on the coarsest
+    lattice over them.  Two distinct points at one value raise, which only a
+    basis that is not Q-linearly independent at its precision allows."""
+    lat, merged = basis.lattice(den), {}
+    for p, c in pairs:
+        prev = merged.get(p)
+        merged[p] = c if prev is None else prev + c
+    kept = sorted(((lat.value(p), p, c) for p, c in merged.items()
+                   if not (c.is_zero() if exact else c == 0)), key=operator.itemgetter(0))
     if any(a[0] == b[0] for a, b in zip(kept, kept[1:])):
         reject_shared_value()
-    return ExponentialSum(tuple(ExpTerm(c, f) for _, f, c in kept), basis, exact)
+    points = tuple(p for _, p, _ in kept)
+    # coordinate i's unit grows by the gcd of den[i] and every point's coordinate i
+    grow = tuple(math.gcd(d, *(p[i] for p in points)) for i, d in enumerate(den))
+    if any(g > 1 for g in grow):
+        den = tuple(map(operator.floordiv, den, grow))
+        points = tuple(tuple(map(operator.floordiv, p, grow)) for p in points)
+    return ExponentialSum(tuple(c for *_, c in kept), points, basis.lattice(den), basis, exact)
+
+
+def normalize(raw_terms: Iterable[ExpTerm], basis: FrequencyBasis, exact: bool) -> ExponentialSum:
+    """The sum of a term list, merged and sorted as from_points does.
+    Idempotent.  Every coefficient must be of the mode ``exact`` names, and
+    every frequency's value within double range."""
+    terms = list(raw_terms)
+    for t in terms:
+        if len(t.freq.coords) != len(basis):
+            n = len(t.freq.coords)
+            raise InputError(f"term frequency has {n} coordinates, basis has {len(basis)}")
+    den = tuple(math.lcm(*(t.freq.coords[i].denominator for t in terms)) for i in range(len(basis)))
+    lat = basis.lattice(den)
+    points = [tuple(q.numerator * (d // q.denominator) for q, d in zip(t.freq.coords, den))
+              for t in terms]
+    if any(isinstance(t.coeff, GaussianRational) != exact for t in terms):
+        raise InputError("term list mixes exact and float coefficients")
+    if any(abs(lat.value(p)) > _MAX_DOUBLE * lat.scale for p in points):
+        raise InputError("a frequency is beyond double range")
+    return from_points(zip(points, (t.coeff for t in terms)), basis, den, exact)
 
 
 def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> ExponentialSum:
@@ -355,8 +379,6 @@ def exp_sum(pairs, basis: FrequencyBasis | None = None, exact: bool = False) -> 
             raw.append(ExpTerm(_coerce_coeff(c, exact), Frequency.of(f, len(basis))))
         except InputError as exc:
             raise InputError(f"term {i}: {exc}") from exc
-    if any(abs(basis.value_key(t.freq)) > sys.float_info.max for t in raw):
-        raise InputError("a frequency is beyond double range")
     return normalize(raw, basis, exact)
 
 
@@ -434,9 +456,21 @@ def coefficient_envelope(f: ExponentialSum, x: np.ndarray) -> np.ndarray:
     return _power_sum(f, generator_exponentials(f, x), np.abs(f.numeric_parts[1]))
 
 
+def align(sums: Sequence[ExponentialSum]) -> tuple[Lattice, list[tuple[tuple[int, ...], ...]]]:
+    """The join of the sums' lattices, whose unit on each coordinate is the
+    finest of theirs, and each sum's points on it; of one sum, its own lattice
+    and points.  The sums share one basis."""
+    den = tuple(map(math.lcm, *(s.lattice.den for s in sums)))
+    mults = [tuple(map(operator.floordiv, den, s.lattice.den)) for s in sums]
+    return sums[0].basis.lattice(den), [s.points if s.lattice.den == den else
+                                        tuple(tuple(map(operator.mul, p, m)) for p in s.points)
+                                        for s, m in zip(sums, mults)]
+
+
 def add(a: ExponentialSum, b: ExponentialSum) -> ExponentialSum:
     _check_same_basis(a, b)
-    return normalize(list(a.terms) + list(b.terms), a.basis, exact=a.exact)
+    lat, (pa, pb) = align([a, b])
+    return from_points(zip(pa + pb, a.coeffs + b.coeffs), a.basis, lat.den, a.exact)
 
 
 def derivative(f: ExponentialSum) -> ExponentialSum:
@@ -446,23 +480,19 @@ def derivative(f: ExponentialSum) -> ExponentialSum:
     """
     if f.exact:
         raise InputError("an exact sum has no exact derivative; convert it with to_float_mode")
-    out = []
-    for t in f.terms:
-        key = f.basis.value_key(t.freq)
-        if key != 0:
-            out.append(ExpTerm(t.coeff * (TWO_PI * float(key)), t.freq))
-    return normalize(out, f.basis, exact=False)
+    lat = f.lattice
+    out = [(p, c * (TWO_PI * (v / lat.scale)))
+           for p, c in zip(f.points, f.coeffs) if (v := lat.value(p))]
+    return from_points(out, f.basis, lat.den, exact=False)
 
 
 def multiply(a: ExponentialSum, b: ExponentialSum) -> ExponentialSum:
-    """Term-list convolution; frequency vectors add componentwise."""
+    """Term-list convolution; frequency points add componentwise."""
     _check_same_basis(a, b)
-    raw = [
-        ExpTerm(ta.coeff * tb.coeff, ta.freq + tb.freq)
-        for ta in a.terms
-        for tb in b.terms
-    ]
-    return normalize(raw, a.basis, exact=a.exact)
+    lat, (pa, pb) = align([a, b])
+    raw = [(tuple(map(operator.add, p, q)), c * d)
+           for p, c in zip(pa, a.coeffs) for q, d in zip(pb, b.coeffs)]
+    return from_points(raw, a.basis, lat.den, a.exact)
 
 
 def extreme_term(f: ExponentialSum, end: End) -> ExpTerm:
@@ -477,9 +507,9 @@ def divide_by_extreme_term(f: ExponentialSum, end: End) -> ExponentialSum:
     The result's constant term is set to exactly one; for FIRST all its
     frequencies are >= 0, for LAST all are <= 0.
     """
-    ext = extreme_term(f, end)
+    ext = extreme_term(f, end).coeff
     one = GR_ONE if f.exact else complex(1.0)
-    out = [
-        ExpTerm(one if t is ext else t.coeff / ext.coeff, t.freq - ext.freq) for t in f.terms
-    ]
-    return normalize(out, f.basis, exact=f.exact)
+    top = f.points[0 if end is End.FIRST else -1]
+    out = [(tuple(map(operator.sub, p, top)), one if p == top else c / ext)
+           for p, c in zip(f.points, f.coeffs)]
+    return from_points(out, f.basis, f.lattice.den, f.exact)

@@ -251,21 +251,22 @@ def _envelope(ws: _Workspace, zs: np.ndarray, n: int) -> np.ndarray:
 
 def _first_levels(
     ws: _Workspace, rects: list[Rect]
-) -> Iterator[tuple[np.ndarray, Exponentials, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, Exponentials, np.ndarray, np.ndarray]]:
     """The first contour of each rect, at 2 * _EDGE_SAMPLES points per edge:
-    yields its steps between corners, its generator exponentials and its f'/f
-    samples, one row per edge.  Up to _BATCH_CONTOURS contours share one ratio
-    call; each contour's values are bitwise those of its own evaluation."""
+    yields its steps between corners, its generator exponentials, its
+    envelope and its f'/f samples, one row per edge.  Up to _BATCH_CONTOURS
+    contours share one ratio call; each contour's values are bitwise those of
+    its own evaluation."""
     n = 2 * _EDGE_SAMPLES
     size = 4 * (n + 1)
     for start in range(0, len(rects), _BATCH_CONTOURS):
         deltas, zs = _contours(rects[start:start + _BATCH_CONTOURS], n)
-        level = generator_exponentials(ws.f, zs)
-        samples = ws.ratio(level, _envelope(ws, zs, n)).reshape(-1, 4, n + 1)
+        level, env = generator_exponentials(ws.f, zs), _envelope(ws, zs, n)
+        samples = ws.ratio(level, env).reshape(-1, 4, n + 1)
         for k, (steps, edges) in enumerate(zip(deltas, samples)):
             part = slice(k * size, (k + 1) * size)
             values = [u[part] for u in level.values]
-            yield steps, level._replace(points=zs[part], values=values), edges
+            yield steps, level._replace(points=zs[part], values=values), env[part], edges
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -284,13 +285,11 @@ def _winding(ws: _Workspace, rect: Rect, first: tuple | None = None) -> int:
     their abscissae on the horizontal edges, and interleaves them with the
     last one's; f and f' are evaluated at all its samples.  first is rect's
     item of _first_levels when a batch has already evaluated it."""
-    deltas, level, edges = first or next(_first_levels(ws, [rect]))
-    prev = env = None
+    deltas, level, env, edges = first or next(_first_levels(ws, [rect]))
+    prev = None
     for doubling in range(1, _MAX_EDGE_DOUBLINGS + 1):
         n = _EDGE_SAMPLES << doubling
         if prev is not None:
-            if env is None:  # the first level's, bitwise as its batch formed it
-                env = _envelope(ws, level.points, n // 2)
             odd = _contours([rect], n, odd=True)[1].reshape(4, -1)
             new = generator_exponentials(ws.f, odd).values
             odd_env = np.empty((2, 2, n // 2))  # per contour (bottom, right), (top, left)
@@ -355,8 +354,7 @@ def _best_ordinate(f: ExponentialSum, r: float, window: float, b: float) -> floa
 
 def _ordinate_window(f: ExponentialSum, R: float) -> float:
     """min(1/(4(a_n - a_1)), R/2): how far the height of a search at R may lie from R."""
-    vals = f.freq_values()
-    return min(1.0 / (4.0 * float(vals[-1] - vals[0])), 0.5 * float(R))
+    return min(1.0 / (4.0 * f.span), 0.5 * float(R))
 
 
 def _ordinate_step(f: ExponentialSum, R: float) -> tuple[ExponentialSum, float, float]:
@@ -365,9 +363,7 @@ def _ordinate_step(f: ExponentialSum, R: float) -> tuple[ExponentialSum, float, 
         raise InputError("zero search needs at least two terms")
     if not (math.isfinite(R) and R > 0):
         raise InputError(f"half-height R must be finite and positive, got {R!r}")
-    vals = f.freq_values()
-    span = float(vals[-1] - vals[0])  # > 0: normalized terms have distinct values
-    expected = 2.0 * float(R) * span
+    expected = 2.0 * float(R) * f.span  # > 0: normalized terms have distinct values
     if expected > _MAX_ZEROS:
         msg = f"{expected:.6g} expected zeros exceed the zero budget of {_MAX_ZEROS}"
         raise ResourceLimitError(msg)
@@ -511,8 +507,6 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     ws = _Workspace(f)
     outer = Rect(-b, b, -height, height)
     total = _winding(ws, outer)
-    vals = f.freq_values()
-    span = float(vals[-1] - vals[0])
     claims: list[Zero] = []
     try:
         boxes = [(outer, total)]
@@ -542,7 +536,7 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
                     raise NumericalError(f"could not refine the zero inside {box}: {why}")
 
         zeros = sorted(claims, key=_position)
-        radius = _MERGE_RADIUS * min(1.0, 1.0 / span)
+        radius = _MERGE_RADIUS * min(1.0, 1.0 / f.span)
         for i, a in enumerate(zeros):
             for c in zeros[i + 1:]:  # sorted by Im z: only the next few can lie within reach
                 if c.location.imag - a.location.imag > radius:
@@ -552,7 +546,7 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
         # fewer than n zeros in any window of height below 1/span, with multiplicity
         ims = [z.location.imag for z in zeros]
         upto = list(itertools.accumulate((z.multiplicity for z in zeros), initial=0))
-        n, window = f.num_terms(), 0.999 / span
+        n, window = f.num_terms(), 0.999 / f.span
         for i, y in enumerate(ims):
             if upto[bisect.bisect_left(ims, y + window)] - upto[i] >= n:
                 raise NumericalError(

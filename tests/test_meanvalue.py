@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from expmean import meanvalue
 from expmean.errors import InputError, NumericalError, ResourceLimitError
 from expmean.exact import GR_ONE, GR_ZERO, GaussianRational
+from expmean.laurent import laurent_images
 from expmean.meanvalue import (
     MeanValueResult,
     _a_value,
@@ -37,6 +38,7 @@ from expmean.sums import (
     normalize,
     one_sum,
 )
+from expmean.zerofind import search_zeros
 
 SQRT2 = "1.41421356237309504880168872421"
 SQRT3 = "1.73205080756887729352744634151"
@@ -123,7 +125,7 @@ def test_reciprocal_truncation_soundness():
             s = truncated_reciprocal(ft, end, cut)
             prod = multiply(ft, s.sum)
             kept = [t for t in prod.terms if sign * f.basis.value_key(t.freq) <= cut]
-            assert ExponentialSum(tuple(kept), f.basis, True) == one_sum(f.basis, True)
+            assert normalize(kept, f.basis, True) == one_sum(f.basis, True)
 
 
 def _reference_reciprocal(ftilde, end, cut):
@@ -184,7 +186,7 @@ def test_reciprocal_kernel_oracle(end, exact):
     assert mixed in {t.freq for t in series.terms}
     kept = [t for t in multiply(ftilde, series).terms if sign * BASIS3.value_key(t.freq) <= cut]
     if exact:
-        assert ExponentialSum(tuple(kept), BASIS3, True) == one_sum(BASIS3, True)
+        assert normalize(kept, BASIS3, True) == one_sum(BASIS3, True)
         return
     for t in kept:
         target = 1 if t.freq.is_zero() else 0
@@ -714,3 +716,29 @@ def test_semigroup_generators_ascending_over_two_basis_values():
     for gens in (neg, pos):
         values = [basis.value_key(g) for g in gens]
         assert values == sorted(values) and len(set(values)) == 3
+
+
+def test_frequency_arithmetic_stays_off_the_engines(monkeypatch):
+    # sums carry int points from parsing on: the series, the Laurent images and
+    # the zero search never add, subtract or value a Frequency
+    def refuse(*args):
+        raise AssertionError("Fraction-keyed frequency arithmetic")
+
+    for name in ("__add__", "__sub__"):
+        monkeypatch.setattr(Frequency, name, refuse)
+    monkeypatch.setattr(FrequencyBasis, "value_key", refuse)
+    rng = random.Random(61)
+    grid = [(a, b, c) for a in (0, "1/2", 1) for b in (0, "1/2", 1) for c in (0, "1/2", 1)]
+    coords = rng.sample(grid, 16)
+    coeffs = [(rng.randint(1, 4), rng.randint(-2, 2)) for _ in coords]
+    g_terms = [((1, 1), (1, "-1/2", 0)), ((-2, 0), (0, 0, "3/2"))]
+    for exact in (False, True):
+        f = exp_sum(list(zip(coeffs, coords)), BASIS3, exact)
+        assert f.num_terms() == 16
+        res = mean_value(f, exp_sum(g_terms, BASIS3, exact))
+        assert len(res.neg_generators) == len(res.pos_generators) == 15
+    found = search_zeros(f, 2.0)
+    assert found.zeros and sum(z.multiplicity for z in found.zeros) == found.outer_winding
+    rational = exp_sum([(c, Fraction(k, 6)) for k, c in enumerate(coeffs)])
+    lf, lg, q = laurent_images(rational, exp_sum([(1, "1/2")]))
+    assert (q, lf.exponent_span(), lg.terms) == (6, 15, {3: 1})

@@ -76,6 +76,21 @@ def test_laurent_root_route_stays_off_the_series_engine():
     assert local == {"errors", "sums"}
 
 
+def test_only_sums_names_the_lattice():
+    # sums.py builds and joins the frequency lattices; every other module
+    # reads a sum's points, units and values through its functions
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "sums.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.asname or alias.name for alias in node.names}
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None)
+                      or getattr(node, "arg", None) or getattr(node, "name", None))
+        assert not names & {"lattice", "Lattice"}, path.name
+
+
 def test_one_version_string(capsys):
     # the CLI and the package metadata both read expmean.__version__
     tomllib = pytest.importorskip("tomllib")

@@ -7,8 +7,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expmean import sums
+from expmean import sums, zerofind
 from expmean.errors import InputError, NumericalError
 from expmean.exact import GR_ONE, GaussianRational
 from expmean.sums import (
@@ -29,6 +31,7 @@ from expmean.sums import (
     generator_exponentials,
     multiply,
     normalize,
+    one_sum,
 )
 
 SQRT2 = "1.41421356237309504880168872421"
@@ -93,7 +96,7 @@ def test_normalize_detects_basis_collision():
 
 
 def _reference_normalize(raw_terms, basis, exact):
-    """normalize as it ran on Fraction-tuple keys and FrequencyBasis.value_key."""
+    """normalize's terms as it ran on Fraction-tuple keys and FrequencyBasis.value_key."""
     merged = {}
     for t in raw_terms:
         if isinstance(t.coeff, GaussianRational) != exact:
@@ -115,7 +118,7 @@ def _reference_normalize(raw_terms, basis, exact):
             "distinct frequency vectors share one numeric value; "
             "the declared basis is not Q-linearly independent"
         )
-    return ExponentialSum(tuple(ExpTerm(c, f) for _, f, c in kept), basis, exact)
+    return tuple(ExpTerm(c, f) for _, f, c in kept)
 
 
 def _outcome(fn, *args):
@@ -149,11 +152,11 @@ def test_normalize_matches_fraction_keyed_normalize(basis, exact):
             if rng.random() < 0.3:
                 raw.append(ExpTerm(-c, freq))
         rng.shuffle(raw)
-        got = _outcome(normalize, raw, basis, exact)
+        got = _outcome(lambda *args: normalize(*args).terms, raw, basis, exact)
         assert got == _outcome(_reference_normalize, raw, basis, exact)
         outcomes.add(type(got))
     # a dependent basis raises on some lists, and every basis keeps others whole
-    assert outcomes == ({ExponentialSum, str} if basis.values[1] == "0.5" else {ExponentialSum})
+    assert outcomes == ({tuple, str} if basis.values[1] == "0.5" else {tuple})
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -579,7 +582,7 @@ def test_divide_is_pointwise_quotient():
             u = divide_by_extreme_term(f, end)
             ext = extreme_term(f, end)
             z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-            denom = evaluate(ExponentialSum((ext,), f.basis, f.exact), z)
+            denom = evaluate(normalize([ext], f.basis, f.exact), z)
             assert abs(evaluate(u, z) - evaluate(f, z) / denom) < 1e-9 * (
                 1 + abs(evaluate(f, z) / denom)
             )
@@ -602,3 +605,55 @@ def test_frequency_vector_arithmetic():
     assert (a - b).coords == (Fraction(2, 3), Fraction(-3, 2))
     assert (-a).coords == (Fraction(-1), Fraction(-1, 2))
     assert not a.is_zero() and (a - a).is_zero()
+
+
+def _coarsest_den(s):
+    """Each coordinate's least common denominator over the sum's Frequency terms."""
+    return tuple(math.lcm(*(t.freq.coords[i].denominator for t in s.terms))
+                 for i in range(len(s.basis)))
+
+
+_EXACT_COEFF = st.builds(
+    GaussianRational,
+    st.fractions(-4, 4, max_denominator=3).filter(bool),
+    st.fractions(-4, 4, max_denominator=3),
+)
+
+
+@st.composite
+def _exact_terms(draw):
+    """A basis, 2-6 terms at distinct frequencies and 0-4 more terms, exact."""
+    basis = draw(st.sampled_from([DEFAULT_BASIS, FrequencyBasis(("1", SQRT2, SQRT3))]))
+    coords = st.tuples(*[st.fractions(-2, 2, max_denominator=6)] * len(basis))
+    term = st.tuples(_EXACT_COEFF, coords)
+    terms = draw(st.lists(term, min_size=2, max_size=6, unique_by=lambda t: t[1]))
+    return basis, terms, draw(st.lists(term, max_size=4))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_exact_terms())
+def test_routes_to_one_sum_are_equal_and_canonical(problem):
+    # one sum reached by five routes: equal, equal hashes, one strip_bound
+    # cache entry, each on the coarsest lattice over its own terms
+    basis, terms, other = problem
+    f, t = exp_sum(terms, basis, exact=True), exp_sum(other, basis, exact=True)
+    minus_one = exp_sum([(-1, 0)], basis, exact=True)
+    routes = [
+        exp_sum(reversed(terms), basis, exact=True),
+        multiply(f, one_sum(basis, exact=True)),
+        add(add(f, t), multiply(t, minus_one)),
+    ]
+    for end in (End.FIRST, End.LAST):
+        ext = extreme_term(f, end)
+        routes.append(multiply(divide_by_extreme_term(f, end),
+                               exp_sum([(ext.coeff, ext.freq)], basis, exact=True)))
+    zerofind.strip_bound.cache_clear()
+    b = zerofind.strip_bound(f)
+    for s in [f, t, *routes]:
+        assert s.lattice == s.basis.lattice(_coarsest_den(s))
+        assert [s.lattice.freq(p) for p in s.points] == [term.freq for term in s.terms]
+    for s in routes:
+        assert s == f and hash(s) == hash(f)
+        hits = zerofind.strip_bound.cache_info().hits
+        assert zerofind.strip_bound(s) == b
+        assert zerofind.strip_bound.cache_info().hits == hits + 1

@@ -638,10 +638,14 @@ def test_batched_first_levels_match_lone_windings(monkeypatch):
         batch = list(zerofind._first_levels(ws, rects))
         assert calls == [len(rects) * 4 * (n + 1)]
         for rect, first in zip(rects, batch, strict=True):
-            deltas, level, samples = first
-            lone_deltas, lone_level, lone_samples = next(zerofind._first_levels(ws, [rect]))
+            deltas, level, env, samples = first
+            lone_deltas, lone_level, lone_env, lone_samples = next(
+                zerofind._first_levels(ws, [rect])
+            )
             assert level.points.tobytes() == _contour(rect, n)[1].tobytes()
             assert samples.tobytes() == lone_samples.tobytes()
+            assert env.tobytes() == lone_env.tobytes()
+            assert env.tobytes() == zerofind._envelope(ws, level.points, n).tobytes()
             assert deltas.tobytes() == lone_deltas.tobytes()
             for u, v in zip(level.values, lone_level.values, strict=True):
                 assert u.tobytes() == v.tobytes()
