@@ -11,10 +11,10 @@ series over the semigroup those frequencies generate, and its coefficients
 follow from the power-series inversion recurrence in one pass outward from
 frequency zero.  Only the finitely many terms within the frequency reach of
 g * f' can meet it at frequency 0, so the constant term is well defined.
-The pass (truncated_reciprocal) walks the int points of ftilde_k's lattice.
-mean_value puts f and the products g * f' on one lattice (sums.align), where
-each product term's mate is an int point, the cutoff an int, and the mate's
-coefficient one walk-key lookup.
+The pass (truncated_reciprocal) walks the int points of ftilde_k's lattice
+and keeps their values in one table, the series.  mean_value puts f and the
+products g * f' on one lattice (sums.align), where each product term's mate
+is an int point, the cutoff an int, and its coefficient one table read.
 The mean value of g over the zeros of f, per unit height of a widening
 horizontal window, is
 
@@ -81,15 +81,25 @@ def _as_cutoff(c: CutoffLike) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """A formal series kept exactly up to |frequency| <= cutoff: its nonzero
-    coefficients by walk key in order of frequency, the keys encoding points
-    of the lattice with coordinates in [-lim, lim] (see truncated_reciprocal)."""
+    """A formal series kept exactly up to |frequency| <= cutoff: the table of
+    truncated_reciprocal's walk, from keys (lattice points with coordinates
+    in [-lim, lim]) to values, complex or the exact numerators (Re s, Im s,
+    level) of s / denom**level, each read as a coefficient, a zero as none."""
 
-    terms: dict[int, Coeff]
+    terms: dict[int, Union[complex, tuple[int, int, int]]]
     den: tuple[int, ...]
     lim: int
     basis: FrequencyBasis
     exact: bool
+    denom: int = 1
+
+    def _coeff(self, value) -> Optional[Coeff]:
+        """The coefficient a table value stands for, or None for a zero or None."""
+        if not (self.exact and value):
+            return value or None
+        re, im, level = value
+        scale = self.denom**level
+        return GaussianRational(Fraction(re, scale), Fraction(im, scale)) if re or im else None
 
     def lookup(self, point: Sequence[int], den: Sequence[int]) -> Optional[Coeff]:
         """The nonzero coefficient at frequency (point[i] / den[i]), or None."""
@@ -99,13 +109,15 @@ class TruncatedSeries:
             if rem or abs(k) > self.lim:
                 return None
             key = key * (2 * self.lim + 1) + k
-        return self.terms.get(key)
+        return self._coeff(self.terms.get(key))
 
     @cached_property
     def sum(self) -> ExponentialSum:
         """The series as a sum, built on first read."""
         radix, pairs = 2 * self.lim + 1, []
-        for key, c in self.terms.items():
+        for key, value in self.terms.items():
+            if (c := self._coeff(value)) is None:
+                continue
             point = []  # coordinate n - 1 first
             for _ in self.den:
                 key, digit = divmod(key + self.lim, radix)
@@ -137,36 +149,28 @@ class MeanValueResult:
         return self.mean
 
 
-def _walk(moves: list[tuple[int, int]], int_cut: int) -> Iterator[tuple[int, int]]:
+def _walk(moves: list[tuple[int, int]], int_cut: int, table: dict) -> Iterator[tuple[int, int]]:
     """Lattice points other than zero within int_cut of it, as (distance, key).
 
-    moves are the steps as (key, distance > 0).  Points come out in order of
-    distance, ties in order of key, each before its successors are queued, so
-    a caller that raises on a point does so before the budget is checked on
-    the points after it.
+    moves are the steps as (key, distance > 0).  table, the caller's, holds
+    zero and marks each point queued with None until the caller fills it.
+    Points come out in order of distance, ties in order of key, each before
+    its successors are queued, so a caller that raises on a point does so
+    before the budget is checked on the points after it.
     """
-    queued = {0}
     heap = [(0, 0)]
     while heap:
         dist, key = heapq.heappop(heap)
         if dist:
             yield dist, key
         for move, step in moves:
-            if dist + step <= int_cut and (nxt := key + move) not in queued:
-                queued.add(nxt)
-                if len(queued) > _MAX_SERIES_TERMS:
+            if dist + step <= int_cut and (nxt := key + move) not in table:
+                table[nxt] = None
+                if len(table) > _MAX_SERIES_TERMS:
                     raise ResourceLimitError(
                         f"reciprocal series exceeded its budget of {_MAX_SERIES_TERMS} terms"
                     )
                 heapq.heappush(heap, (dist + step, nxt))
-
-
-def _keep(kept: list, dist: int, key: int, value) -> None:
-    """Append a nonzero term; kept terms come in order of distance, so two at
-    one distance are two frequency vectors with one numeric value."""
-    if dist == kept[-1][0]:
-        reject_shared_value()
-    kept.append((dist, key, value))
 
 
 def truncated_reciprocal(ftilde: ExponentialSum, end: End, cutoff: CutoffLike) -> TruncatedSeries:
@@ -198,10 +202,10 @@ def truncated_reciprocal(ftilde: ExponentialSum, end: End, cutoff: CutoffLike) -
                   * s_(alpha - beta)
 
     needs int arithmetic only, and a GaussianRational is built for each
-    kept term alone.  The terms come out in order of distance, so two
-    nonzero ones at one distance mean the basis is not Q-linearly
-    independent.  Past _MAX_SERIES_TERMS queued points or _MAX_SERIES_BITS
-    stored numerator bits it raises ResourceLimitError; float mode raises
+    term read.  The terms come out in order of distance, so two nonzero
+    ones at one distance mean the basis is not Q-linearly independent.
+    Past _MAX_SERIES_TERMS queued points or _MAX_SERIES_BITS stored
+    numerator bits it raises ResourceLimitError; float mode raises
     NumericalError once a coefficient overflows.
     """
     cut = _as_cutoff(cutoff)
@@ -235,10 +239,8 @@ def truncated_reciprocal(ftilde: ExponentialSum, end: End, cutoff: CutoffLike) -
             re, im = (p.numerator * (denom // p.denominator) for p in (c.re, c.im))
             recur.append((move, gap, tuple((re * denom**k, im * denom**k) for k in (gap - 1, gap))))
         coeffs = {0: (1, 0, 0)}  # key: (Re s_alpha, Im s_alpha, level(alpha))
-        kept = [(0, 0, coeffs[0])]  # (distance, key, value) of each nonzero term
-        get = coeffs.get
-        bits = 0
-        for dist, key in _walk(moves, int_cut):
+        get, bits, last = coeffs.get, 0, 0  # last: distance of the last nonzero term
+        for dist, key in _walk(moves, int_cut, coeffs):
             level = dist // least
             re = im = 0
             for move, gap, mults in recur:
@@ -248,22 +250,20 @@ def truncated_reciprocal(ftilde: ExponentialSum, end: End, cutoff: CutoffLike) -
                     ar, ai = mults[level - plevel - gap]
                     re += ar * pre - ai * pim
                     im += ar * pim + ai * pre
-            coeffs[key] = s = (re, im, level)
+            coeffs[key] = (re, im, level)
             bits += re.bit_length() + im.bit_length()
             if bits > _MAX_SERIES_BITS:
                 msg = f"exact reciprocal series exceeded its budget of {_MAX_SERIES_BITS} bits"
                 raise ResourceLimitError(msg)
             if re or im:
-                _keep(kept, dist, key, s)
-        kept = [(dist, key, GaussianRational(Fraction(re, denom**level),
-                                             Fraction(im, denom**level)))
-                for dist, key, (re, im, level) in kept]
+                if dist == last:
+                    reject_shared_value()
+                last = dist
     else:
-        recur = [(move, c) for (move, _), (_, _, c) in zip(moves, steps)]
+        recur, denom = [(move, c) for (move, _), (_, _, c) in zip(moves, steps)], 1
         coeffs = {0: one}
-        kept = [(0, 0, one)]
-        get = coeffs.get
-        for dist, key in _walk(moves, int_cut):
+        get, last = coeffs.get, 0
+        for dist, key in _walk(moves, int_cut, coeffs):
             r = 0j
             for move, neg_c in recur:
                 prev = get(key - move)
@@ -273,10 +273,10 @@ def truncated_reciprocal(ftilde: ExponentialSum, end: End, cutoff: CutoffLike) -
                 raise NumericalError("reciprocal series overflowed in float mode; use exact mode")
             coeffs[key] = r
             if r:
-                _keep(kept, dist, key, r)
-    if end is End.LAST:
-        kept.reverse()
-    return TruncatedSeries({k: r for _, k, r in kept}, grid.den, lim, ftilde.basis, ftilde.exact)
+                if dist == last:
+                    reject_shared_value()
+                last = dist
+    return TruncatedSeries(coeffs, grid.den, lim, ftilde.basis, ftilde.exact, denom)
 
 
 def _derivative_products(f: ExponentialSum, g: ExponentialSum) -> list[ExponentialSum]:

@@ -495,10 +495,14 @@ def multiply(a: ExponentialSum, b: ExponentialSum) -> ExponentialSum:
     return from_points(raw, a.basis, lat.den, a.exact)
 
 
-def extreme_term(f: ExponentialSum, end: End) -> ExpTerm:
+def _end_index(f: ExponentialSum, end: End) -> int:
     if f.is_zero():
         raise InputError("the zero sum has no extreme term")
-    return f.terms[0] if end is End.FIRST else f.terms[-1]
+    return 0 if end is End.FIRST else -1
+
+
+def extreme_term(f: ExponentialSum, end: End) -> ExpTerm:
+    return f.terms[_end_index(f, end)]
 
 
 def divide_by_extreme_term(f: ExponentialSum, end: End) -> ExponentialSum:
@@ -507,9 +511,9 @@ def divide_by_extreme_term(f: ExponentialSum, end: End) -> ExponentialSum:
     The result's constant term is set to exactly one; for FIRST all its
     frequencies are >= 0, for LAST all are <= 0.
     """
-    ext = extreme_term(f, end).coeff
+    k = _end_index(f, end)
+    ext, top = f.coeffs[k], f.points[k]
     one = GR_ONE if f.exact else complex(1.0)
-    top = f.points[0 if end is End.FIRST else -1]
     out = [(tuple(map(operator.sub, p, top)), one if p == top else c / ext)
            for p, c in zip(f.points, f.coeffs)]
     return from_points(out, f.basis, f.lattice.den, f.exact)

@@ -369,6 +369,10 @@ def _ordinate_step(f: ExponentialSum, R: float) -> tuple[ExponentialSum, float, 
         raise ResourceLimitError(msg)
     f = f.to_float_mode()
     b = strip_bound(f)
+    # the envelope is convex in Re z, so the strip's edges hold its largest values
+    top = float(coefficient_envelope(f, np.array([-b, b])).max())
+    if not math.isfinite(top * max(1.0, TWO_PI * float(np.abs(f.numeric_parts[0]).max()))):
+        raise NumericalError(f"f or f' does not fit a double at the strip edge |Re z| = {b:.6g}")
     return f, b, _best_ordinate(f, float(R), _ordinate_window(f, R), b)
 
 

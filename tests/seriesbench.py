@@ -5,10 +5,12 @@ The multi-basis cases are over the basis {1, sqrt2, sqrt3} with
 f = 1 + e(z) + e(sqrt2 z) + e(sqrt3 z): g = e(40 z), whose mean is an exact
 0 reached through a long series, and g = e(-40 z) + 2 e((1 - 40 sqrt2 +
 sqrt3) z).  Each is timed in float and in exact mode as the best of
-``--repeats`` calls after one untimed warm-up call.  The pass is every op
-of the benchmark's mean-series workload at ``--seed``, run in process
-through ``expmean.cli.run`` with its output discarded, also best of
-``--repeats`` after a warm-up.  pytest does not collect this file.
+``--repeats`` calls after one untimed warm-up call, and an exact case also
+prints the number of ``GaussianRational`` objects one untimed call builds.
+The pass is every op of the benchmark's mean-series workload at
+``--seed``, run in process through ``expmean.cli.run`` with its output
+discarded, also best of ``--repeats`` after a warm-up.  pytest does not
+collect this file.
 
 From the repository root:
 
@@ -51,6 +53,23 @@ def best_of(repeats: int, fn) -> float:
     return best
 
 
+def built_rationals(cls, fn) -> int:
+    """The number of cls objects fn() constructs."""
+    count, init = 0, cls.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    cls.__init__ = counting
+    try:
+        fn()
+    finally:
+        cls.__init__ = init
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=HERE)
@@ -64,6 +83,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(root, "bench"))
     import workloads
     from expmean import cli
+    from expmean.exact import GaussianRational
     from expmean.meanvalue import mean_value
     from expmean.sums import FrequencyBasis, exp_sum
 
@@ -74,7 +94,9 @@ def main(argv=None) -> int:
         for exact in (False, True):
             f, g = exp_sum(F, basis, exact), exp_sum(g_terms, basis, exact)
             times.append(best_of(args.repeats, lambda: mean_value(f, g)))
-        print(f"{name}: {times[0] * 1e3:.1f} ms float, {times[1] * 1e3:.1f} ms exact")
+        built = built_rationals(GaussianRational, lambda: mean_value(f, g))
+        print(f"{name}: {times[0] * 1e3:.1f} ms float, {times[1] * 1e3:.1f} ms exact, "
+              f"{built} GaussianRationals built in exact mode")
 
     ops = workloads.build("mean-series", args.seed, root)
     with tempfile.TemporaryDirectory() as work:

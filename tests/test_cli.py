@@ -745,6 +745,42 @@ def test_zeros_with_a_strip_bound_near_double_range(problem_file, capsys, eps):
     assert results["strip_bound"] == pytest.approx(math.log(2) / (2 * math.pi * float(eps)))
 
 
+@pytest.mark.parametrize("freqs, coeffs, b", [
+    (("0", "1/10000", "1"), (1, 1, 3), "1103.18"),
+    (("0", "1", "1000001/1000000"), (1, 1, 1), "110318"),
+])
+def test_strip_too_wide_for_doubles_fails_before_any_contour(
+        problem_file, capsys, monkeypatch, freqs, coeffs, b):
+    # at Re z = b the coefficient envelope overflows, so no contour on the
+    # strip could be evaluated: the search says so instead of winding one
+    seen = []
+    evaluate_array = zerofind.evaluate_array
+    monkeypatch.setattr(zerofind, "evaluate_array", lambda *a: seen.append(a) or evaluate_array(*a))
+    path = problem_file({"f": [{"coeff": [c, 0], "freq": q} for c, q in zip(coeffs, freqs)]})
+    for argv in (["zeros", "--R", "1"], ["density", "--R", "1"], ["verify", "--R-list", "1,2"]):
+        assert run([*argv, "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"expmean: numerical failure: f or f' does not fit a double "
+            f"at the strip edge |Re z| = {b}")
+    assert seen == []
+
+
+def test_strip_whose_envelope_nears_double_range_is_searched(problem_file, capsys):
+    # b = 110.3 and the envelope there is 3.2e301: f and f' still fit a double
+    doc = {"f": [{"coeff": [1, 0], "freq": "0"}, {"coeff": [1, 0], "freq": "1/1000"},
+                 {"coeff": [3, 0], "freq": "1"}]}
+    path = problem_file(doc)
+    f = load_problem(path).f
+    b = zerofind.strip_bound(f)
+    assert b == pytest.approx(110.3, abs=0.05)
+    assert float(zerofind.coefficient_envelope(f, b)) == pytest.approx(3.2e301, rel=0.01)
+    for argv in (["zeros", "--R", "1"], ["density", "--R", "1"], ["verify", "--R-list", "1,2"]):
+        assert run([*argv, "--input", path]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+
+
 # JSON-like values, and the few non-JSON ones a library caller may pass
 _ODD_VALUES = st.one_of(
     st.sampled_from([True, False, None, float("nan"), float("inf"), -float("inf"), -0.0,

@@ -38,6 +38,7 @@ from expmean.sums import (
     normalize,
     one_sum,
 )
+from expmean.verify import convergence_report
 from expmean.zerofind import search_zeros
 
 SQRT2 = "1.41421356237309504880168872421"
@@ -742,3 +743,46 @@ def test_frequency_arithmetic_stays_off_the_engines(monkeypatch):
     rational = exp_sum([(c, Fraction(k, 6)) for k, c in enumerate(coeffs)])
     lf, lg, q = laurent_images(rational, exp_sum([(1, "1/2")]))
     assert (q, lf.exponent_span(), lg.terms) == (6, 15, {3: 1})
+
+
+def test_engines_never_build_the_term_view(monkeypatch):
+    # the Frequency view of a sum is for readers; the series, the zero search,
+    # the Laurent images and the verify ladder read points and coefficients
+    rng = random.Random(67)
+    grid = [(a, b, c) for a in (0, "1/2", 1) for b in (0, "1/2", 1) for c in (0, "1/2", 1)]
+    coords = rng.sample(grid, 8)
+    coeffs = [(rng.randint(1, 4), rng.randint(-2, 2)) for _ in coords]
+    g_terms = [((1, 1), (1, "-1/2", 0)), ((-2, 0), (0, 0, "3/2"))]
+    sums = [(exp_sum(list(zip(coeffs, coords)), BASIS3, exact), exp_sum(g_terms, BASIS3, exact))
+            for exact in (False, True)]
+    rational = exp_sum([(c, Fraction(k, 6)) for k, c in enumerate(coeffs)])
+    half = exp_sum([(1, "1/2")])
+
+    def refuse(self):
+        raise AssertionError("the Frequency view of a sum was built")
+
+    monkeypatch.setattr(ExponentialSum, "terms", property(refuse))
+    for f, g in sums:
+        assert len(mean_value(f, g).pos_generators) == 7
+    found = search_zeros(sums[0][0], 1.0)
+    assert found.zeros and sum(z.multiplicity for z in found.zeros) == found.outer_winding
+    lf, lg, q = laurent_images(rational, half)
+    assert (q, lf.exponent_span(), lg.terms) == (6, 7, {3: 1})
+    report = convergence_report(*sums[0], [0.5, 1.0])
+    assert len(report.rows) == 2
+
+
+def test_exact_mode_builds_coefficients_only_where_read(monkeypatch):
+    # f = 1 + e(z) + e(sqrt2 z) + e(sqrt3 z), g = e(40 z): the walk at the
+    # last end fills 29,310 points, of which _a_value reads a few dozen
+    f = exp_sum([(1, (0, 0, 0)), (1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))], BASIS3, True)
+    g = exp_sum([(1, (40, 0, 0))], BASIS3, True)
+    series = truncated_reciprocal(divide_by_extreme_term(f, End.LAST), End.LAST, 40)
+    built = []
+    init = GaussianRational.__init__
+    monkeypatch.setattr(GaussianRational, "__init__",
+                        lambda self, *a, **k: built.append(None) or init(self, *a, **k))
+    res = mean_value(f, g)
+    assert len(built) < 100
+    assert res.mean_exact == (GR_ZERO,) * 3
+    assert len(series.terms) == 29_310
