@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from climbbench import winding_census
 from expmean import sums, zerofind
 from expmean.cli import load_problem
 from expmean.errors import (
@@ -464,6 +465,17 @@ def test_zeros_closer_than_the_merge_radius_are_not_refused(s, R, n):
         assert abs(z.location - 1j * (k + 0.5) / s) < 1e-9 / s
 
 
+def test_refinement_cap_keeps_the_finest_settled_windings():
+    # the merge-radius search of 1 + e(10**10 z) at R = 2e-8 holds the finest
+    # settled windings known: 16 settle at doubling 10, none finer, so a cap
+    # below 10 turns them into failures (the search itself still finds all
+    # 400 zeros then, which is why the levels are counted here)
+    with winding_census(zerofind) as outcomes:
+        assert len(search_zeros(exp_sum([(1, 0), (1, 10**10)]), 2e-8).zeros) == 400
+    assert outcomes[10, "settled"] == 16
+    assert max(level for level, outcome in outcomes if outcome == "settled") == 10
+
+
 @settings(max_examples=20)
 @given(
     st.integers(1, 3).flatmap(
@@ -678,7 +690,7 @@ def test_capped_contour_ends_at_the_refinement_cap(monkeypatch):
         _winding(ws, Rect(0, 1, 0.1, 0.8))
     # one evaluation per comparison, the last at the size the tracer counts as capped
     n_top = QuadratureConfig.edge_samples_initial * 2 ** zerofind._MAX_EDGE_DOUBLINGS
-    assert sizes == [4 * ((32 << k) + 1) for k in range(1, 12)]
+    assert sizes == [4 * ((32 << k) + 1) for k in range(1, zerofind._MAX_EDGE_DOUBLINGS + 1)]
     assert sizes[-1] == 4 * (n_top + 1)
 
 
@@ -686,8 +698,9 @@ def test_winding_envelope_is_the_pointwise_envelope(monkeypatch):
     # _winding evaluates the envelope once per abscissa of the vertical edges,
     # and a refined level takes the level below's at its even samples
     cases = [(THREE_TERM, Rect(-0.7, 0.4, -2.3, 1.9), 8, 1),
-             (TWO_TERM, Rect(0, 1, 0.1, 0.8), ContourTooCloseError, 11),  # capped
-             (THREE_TERM, Rect(0.1113, 1, -0.3, 0.3), 1, 2)]
+             (TWO_TERM, Rect(0, 1, 0.1, 0.8), ContourTooCloseError,
+              zerofind._MAX_EDGE_DOUBLINGS),  # capped: one call per doubling
+             (THREE_TERM, Rect(0.1113, 1, -0.3, 0.3), 1, 4)]
     for f, rect, expected, levels in cases:
         ws = _Workspace(f)
         ratio, calls = ws.ratio, []
@@ -698,7 +711,7 @@ def test_winding_envelope_is_the_pointwise_envelope(monkeypatch):
 
         monkeypatch.setattr(ws, "ratio", spy)
         assert _outcome(_winding, ws, rect) == expected
-        assert len(calls) >= levels and all(calls)
+        assert len(calls) == levels and all(calls)
 
 
 def test_capped_contour_peak_memory():
@@ -761,8 +774,9 @@ def test_capped_contour_takes_one_exponential_per_sample(monkeypatch):
     monkeypatch.setattr(zerofind, "generator_exponentials", spy)
     with pytest.raises(ContourTooCloseError):
         _winding(_Workspace(TWO_TERM), Rect(0, 1, 0.1, 0.8))
-    # one generator: one exponential per distinct sample of the 11 levels, the
-    # top level's 4(n_top + 1), where f and f' at every level would take 2.1M
+    # one generator: one exponential per distinct sample of the capped levels,
+    # the top level's 4(n_top + 1), where f and f' at every level would take
+    # about eight times as many
     n_top = zerofind._EDGE_SAMPLES << zerofind._MAX_EDGE_DOUBLINGS
     assert sum(counts) == 4 * (n_top + 1)
 
