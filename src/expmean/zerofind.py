@@ -3,7 +3,12 @@
 Every zero of a sum with at least two terms lies in an explicit vertical
 strip |Re z| < B: once the extreme term is factored out, the remaining
 tail is < 1 in modulus beyond the strip, so the sum cannot vanish there.
-Inside the strip the zeros with |Im z| < R are isolated by recursive
+A sum with rational frequencies of common denominator q is F(e(z/q)) for a
+Laurent polynomial F.  When F has degree at most _MAX_ROOT_DEGREE, the zeros
+with |Im z| < R come from its roots w, as q log(w)/2pi + iqk, and one small
+square's winding count certifies each claim (Delves & Lyness, Math. Comp.
+21 (1967)); a claim that fails sends the search to bisection.  Otherwise
+the zeros are isolated by recursive
 rectangle bisection driven by boundary winding counts, one generation of
 boxes at a time.  A box below _BOX_DIAMETER = 0.1 is claimed in one of two
 ways: by damped Newton from its center, when the point it settles on stays
@@ -36,6 +41,7 @@ sizes and tolerances are the constants below.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import itertools
 import math
@@ -45,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import laurent
 from .errors import (
     ContourOnZeroError,
     ContourTooCloseError,
@@ -66,11 +73,15 @@ from .sums import (
 _CLEARANCE_REL = 1e-13
 _BOX_DIAMETER = 0.1
 _MULT_RADIUS = 1e-4
+# highest degree of a Laurent image whose roots the root route takes: np.roots
+# costs the cube of the degree, about 2 ms at 64, 16 ms at 128 and 160 ms at
+# 256 on one core
+_MAX_ROOT_DEGREE = 64
 _MERGE_RADIUS = 1e-7
 # the finest doubling at which a winding of the test suite or of the benchmark
 # workloads settles: 10, in the merge-radius search of 1 + e(10**10 z) that
 # test_refinement_cap_keeps_the_finest_settled_windings pins; the windings of
-# the workloads settle by 8 and those of problems/*.json by 9, as
+# the workloads settle by 8 and those of problems/*.json by 6, as
 # `python tests/climbbench.py --census` counts them
 _MAX_EDGE_DOUBLINGS = 10
 _JITTER_ATTEMPTS = 12
@@ -491,21 +502,129 @@ def _position(zero: Zero) -> tuple[float, float]:
     return zero.location.imag, zero.location.real
 
 
+def _subdivide(ws: _Workspace, outer: Rect, total: int, claims: list[Zero]) -> None:
+    """Claims by bisection from the outer box, appended to claims as they are
+    made, so a failure leaves the claims so far there."""
+    boxes = [(outer, total)]
+    for depth in itertools.count():
+        cutting = []
+        for box, count in boxes:
+            if count == 0:
+                continue
+            if box.diameter() < _BOX_DIAMETER:
+                z = _newton_refine(ws, box)
+                if z is not None and _accounts_for(ws, z, count, box):
+                    claims.append(Zero(z, count))
+                    continue
+            cutting.append((box, count))
+        if not cutting:
+            return
+        boxes = []
+        halves = _bisect(ws, cutting) if depth < _MAX_DEPTH else [None] * len(cutting)
+        for (box, count), pair in zip(cutting, halves):
+            z = box.center()
+            if pair is not None:
+                boxes += pair
+            elif box.diameter() < _BOX_DIAMETER and ws.small_residual(z, _RESIDUAL_TOL):
+                claims.append(Zero(z, count))
+            else:
+                why = "no admissible cut line" if depth < _MAX_DEPTH else "depth exhausted"
+                raise NumericalError(f"could not refine the zero inside {box}: {why}")
+
+
+def _root_claims(ws: _Workspace, outer: Rect, total: int) -> list[Zero] | str:
+    """Claims from the roots w of f's Laurent image F under w = e(z/q), or the
+    step at which the route declines: "basis", "degree", "solve", "count",
+    "square" or "newton".
+
+    Each root gives the zeros q log(w)/2pi + iqk; roots whose zeros lie
+    within _MULT_RADIUS merge into one claim at their mean, of multiplicity
+    the number merged.  The claims in the outer box must add up to its
+    winding, and one square around each claim, of half-side
+    min(_MULT_RADIUS, a third of the gap to the nearest other claim) and
+    inside the outer box, must wind exactly its multiplicity: the squares
+    are disjoint, so they hold every zero in the box.  A simple zero is then
+    polished by Newton from its square.
+    """
+    if not ws.f.basis.is_default():
+        return "basis"
+    try:
+        F, _, q = laurent.laurent_images(ws.f, ws.f)
+    except InputError:  # q beyond double range
+        return "degree"
+    if F.exponent_span() > _MAX_ROOT_DEGREE:
+        return "degree"
+    try:
+        roots = laurent.roots_nonzero(F)
+    except NumericalError:
+        return "solve"
+    if not all(w != 0 and cmath.isfinite(w) for w in roots):
+        return "solve"
+    # single-linkage clusters of roots whose nearest zeros lie within _MULT_RADIUS
+    scale = q / TWO_PI
+    clusters: list[list[complex]] = []
+    for w in roots:
+        near = [c for c in clusters
+                if any(scale * abs(cmath.log(w / v)) <= _MULT_RADIUS for v in c)]
+        clusters = [c for c in clusters if c not in near] + [[w, *itertools.chain(*near)]]
+    points = []
+    for c in clusters:
+        base = scale * cmath.log(c[0])
+        base += sum(scale * cmath.log(v / c[0]) for v in c) / len(c)
+        for k in itertools.count(math.floor((outer.im_min - base.imag) / q)):
+            z = base + 1j * q * k
+            if z.imag >= outer.im_max:
+                break
+            if z.imag > outer.im_min:
+                points.append((z, len(c)))
+    if sum(m for _, m in points) != total:
+        return "count"
+    points.sort(key=lambda p: p[0].imag)
+    half = [_MULT_RADIUS] * len(points)
+    for i, (a, _) in enumerate(points):
+        for j in range(i + 1, len(points)):  # sorted by Im z: only the next few lie within reach
+            if points[j][0].imag - a.imag >= 3 * _MULT_RADIUS:
+                break
+            gap = abs(points[j][0] - a) / 3
+            half[i], half[j] = min(half[i], gap), min(half[j], gap)
+    if not all(outer.contains(z, -r) for (z, _), r in zip(points, half)):
+        return "square"
+    squares = [Rect(z.real - r, z.real + r, z.imag - r, z.imag + r)
+               for (z, _), r in zip(points, half)]
+    claims = []
+    for (z, m), square, first in zip(points, squares, _first_levels(ws, squares)):
+        try:
+            if _winding(ws, square, first) != m:
+                return "square"
+        except (ContourTooCloseError, ContourOnZeroError):
+            return "square"
+        if m == 1:
+            z = _newton_refine(ws, square)
+            if z is None:
+                return "newton"
+        claims.append(Zero(z, m))
+    return claims
+
+
 def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     """Zeros with |Im z| < height near R, plus the contour bookkeeping.
 
-    Boxes are bisected one generation at a time (see _bisect), and a box
-    below _BOX_DIAMETER = 0.1 can be claimed in two ways.  Before it is cut,
-    the point Newton finds from its center claims it when that point lies
-    in the box and accounts for the box's whole count; when Newton fails or
-    leaves the box, or for a mixed cluster of near-coincident but distinct
-    zeros, the box is cut further, so each zero gets its own
+    A sum on the default basis whose Laurent image has degree at most
+    _MAX_ROOT_DEGREE = 64 takes the root route first (see _root_claims): its
+    zeros come from the image's roots, each claim certified by one square's
+    winding.  When that route declines, and for every other sum, boxes are
+    bisected one generation at a time from the outer box (see _bisect), and
+    a box below _BOX_DIAMETER = 0.1 can be claimed in two ways.  Before it
+    is cut, the point Newton finds from its center claims it when that point
+    lies in the box and accounts for the box's whole count; when Newton
+    fails or leaves the box, or for a mixed cluster of near-coincident but
+    distinct zeros, the box is cut further, so each zero gets its own
     representative.  A box that cannot be cut, because no cut line is
-    admissible or its generation is at _MAX_DEPTH, is claimed at its
-    center when the center meets _RESIDUAL_TOL.  A box that can be neither
-    cut nor claimed raises, the one failure of the subdivision.  A claim's
-    multiplicity is the winding count of its box, so the multiplicities add
-    up to the outer winding by construction.
+    admissible or its generation is at _MAX_DEPTH, is claimed at its center
+    when the center meets _RESIDUAL_TOL.  A box that can be neither cut nor
+    claimed raises, the one failure of the subdivision.  A claim's
+    multiplicity is the winding count of its box or square, so the
+    multiplicities add up to the outer winding on both routes.
     Two claims within _MERGE_RADIUS * min(1, 1/(a_n - a_1)) of each other
     raise: box counts cannot see one zero claimed by two boxes.  So do n or
     more zeros, counted with multiplicity, in a window of height
@@ -518,31 +637,11 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     total = _winding(ws, outer)
     claims: list[Zero] = []
     try:
-        boxes = [(outer, total)]
-        for depth in itertools.count():
-            cutting = []
-            for box, count in boxes:
-                if count == 0:
-                    continue
-                if box.diameter() < _BOX_DIAMETER:
-                    z = _newton_refine(ws, box)
-                    if z is not None and _accounts_for(ws, z, count, box):
-                        claims.append(Zero(z, count))
-                        continue
-                cutting.append((box, count))
-            if not cutting:
-                break
-            boxes = []
-            halves = _bisect(ws, cutting) if depth < _MAX_DEPTH else [None] * len(cutting)
-            for (box, count), pair in zip(cutting, halves):
-                z = box.center()
-                if pair is not None:
-                    boxes += pair
-                elif box.diameter() < _BOX_DIAMETER and ws.small_residual(z, _RESIDUAL_TOL):
-                    claims.append(Zero(z, count))
-                else:
-                    why = "no admissible cut line" if depth < _MAX_DEPTH else "depth exhausted"
-                    raise NumericalError(f"could not refine the zero inside {box}: {why}")
+        route = _root_claims(ws, outer, total)
+        if isinstance(route, str):
+            _subdivide(ws, outer, total, claims)
+        else:
+            claims = route
 
         zeros = sorted(claims, key=_position)
         radius = _MERGE_RADIUS * min(1.0, 1.0 / f.span)

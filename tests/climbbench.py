@@ -15,7 +15,12 @@ workloads (``bench/workloads.py``) at ``--seeds``, and ``verify --R-list
 5,10,20,40`` on each ``problems/*.json``, in process through
 ``expmean.cli.run``, and prints how many windings settled at each doubling
 and how many failed, by error type.  The finest doubling at which a winding
-settles is the least refinement cap that keeps every one of them.
+settles is the least refinement cap that keeps every one of them.  It also
+prints how many zero searches took the root route and how many bisected, with
+the step at which the root route declined each of the latter: the basis is
+not the default one, the Laurent image's degree is above the cap, the root
+solve failed, the claims do not add up to the outer winding, a square missed
+its multiplicity, or Newton left a square.
 
 From the repository root:
 
@@ -95,6 +100,31 @@ def winding_census(zf):
         zf._Workspace.ratio, zf._winding = ratio, winding
 
 
+@contextlib.contextmanager
+def route_census(zf):
+    """Count the zero searches of the zerofind module zf while the block runs:
+    yields a Counter of "root" or the step at which the root route declined."""
+    routes = collections.Counter()
+    if not hasattr(zf, "_root_claims"):  # a checkout from before the root route
+        yield routes
+        return
+    claims = zf._root_claims
+
+    def spy(*args):
+        out = claims(*args)
+        routes[out if isinstance(out, str) else "root"] += 1
+        return out
+
+    zf._root_claims = spy
+    try:
+        yield routes
+    finally:
+        zf._root_claims = claims
+
+
+DECLINES = ("basis", "degree", "solve", "count", "square", "newton")
+
+
 def census(zf, run, root: str, seeds: list[int]) -> int:
     """Print the windings of each workload and seed, and of the sample
     problems, by the doubling at which they settled, and the failed ones."""
@@ -115,17 +145,17 @@ def census(zf, run, root: str, seeds: list[int]) -> int:
                      [["verify", "--R-list", "5,10,20,40", "--input", p] for p in samples]))
         counts = []
         for label, argvs in rows:
-            with winding_census(zf) as outcomes:
+            with winding_census(zf) as outcomes, route_census(zf) as routes:
                 for argv in argvs:
                     with contextlib.redirect_stdout(io.StringIO()), \
                             contextlib.redirect_stderr(io.StringIO()):
                         run(argv)
-            counts.append((label, outcomes))
+            counts.append((label, outcomes, routes))
     cap = zf._MAX_EDGE_DOUBLINGS
     print(f"windings settled at each doubling (cap {cap}), and failed windings by error type")
     print(f"{'source':<20}" + "".join(f"{k:>7}" for k in range(1, cap + 1)) + "  failed")
     finest = 0
-    for label, outcomes in counts:
+    for label, outcomes, _ in counts:
         settled = [outcomes[k, "settled"] for k in range(1, cap + 1)]
         failed = collections.Counter()
         for (k, outcome), c in outcomes.items():
@@ -135,6 +165,14 @@ def census(zf, run, root: str, seeds: list[int]) -> int:
         print(f"{label:<20}" + "".join(f"{c:>7,}" for c in settled) + "  "
               + (", ".join(f"{t} {c:,}" for t, c in sorted(failed.items())) or "none"))
     print(f"finest settled doubling: {finest}")
+    if not hasattr(zf, "_root_claims"):
+        return 0
+    print("\nzero searches by route, and the step at which the root route declined")
+    print(f"{'source':<20}{'root':>7}{'bisect':>7}" + "".join(f"{d:>8}" for d in DECLINES))
+    for label, _, routes in counts:
+        declined = [routes[d] for d in DECLINES]
+        print(f"{label:<20}{routes['root']:>7,}{sum(declined):>7,}"
+              + "".join(f"{c:>8,}" for c in declined))
     return 0
 
 

@@ -29,6 +29,7 @@ from expmean.cli import (
 from expmean.errors import InputError, NumericalError
 from expmean.sums import FrequencyBasis, exp_sum
 from expmean.zerofind import Zero
+from zero_oracle import bisection_route
 
 SQRT2 = "1.41421356237309504880168872421"
 
@@ -883,7 +884,9 @@ def test_search_failures_print_the_claims_so_far(
     )
     monkeypatch.setattr(zerofind, "_MAX_DEPTH", depth)
     path = problem_file({"f": [{"coeff": [c, 0], "freq": k} for k, c in enumerate(coeffs)]})
-    assert run(["zeros", "--input", path, "--R", R]) == 3
+    with bisection_route() as bisected:
+        assert run(["zeros", "--input", path, "--R", R]) == 3
+    assert bisected
     captured = capsys.readouterr()
     assert captured.out == ""
     error, partial = captured.err.splitlines()
@@ -902,7 +905,9 @@ def test_double_zero_newton_declines_is_claimed_at_a_box_centre(problem_file, ca
         zerofind, "_newton_refine", lambda ws, box: None if box.contains(0j) else newton(ws, box)
     )
     path = problem_file({"f": [{"coeff": [c, 0], "freq": k} for k, c in enumerate([1, -2, 1])]})
-    assert run(["zeros", "--input", path, "--R", "1.3"]) == 0
+    with bisection_route() as bisected:
+        assert run(["zeros", "--input", path, "--R", "1.3"]) == 0
+    assert bisected
     got = json.loads(capsys.readouterr().out)["results"]["zeros"]
     assert [z["multiplicity"] for z in got] == [2, 2, 2]
     for z, im in zip(got, (-1, 0, 1)):

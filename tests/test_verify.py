@@ -12,6 +12,7 @@ from expmean.verify import convergence_report, weighted_sum
 from expmean.zerofind import Zero, search_zeros
 from fewnomial import fewnomial_check
 from laurent_routes import root_mean
+from zero_oracle import bisection_route
 
 TWO_TERM = exp_sum([(1, 0), (1, 1)])
 THREE_TERM = exp_sum([(6, 0), (-5, 1), (1, 2)])
@@ -87,9 +88,12 @@ def test_convergence_report_input_checks():
 
 
 def test_convergence_report_failing_tolerance():
-    # g = e^{-2pi z} leaves refinement-level noise, never below 1e-18
+    # g = e^{-2pi z} leaves refinement-level noise on the bisection route, never
+    # below 1e-18 (the root route's zeros leave about 1e-31)
     g = exp_sum([(1, -1)])
-    rep = convergence_report(TWO_TERM, g, [3.0, 6.0], tol=1e-18)
+    with bisection_route() as bisected:
+        rep = convergence_report(TWO_TERM, g, [3.0, 6.0], tol=1e-18)
+    assert bisected
     assert not rep.verdict
     assert rep.rows[-1].abs_error > 0
 

@@ -29,6 +29,7 @@ from expmean.errors import (
 from expmean.laurent import LaurentPolynomial, laurent_images, roots_nonzero
 from expmean.sums import FrequencyBasis, coefficient_envelope, evaluate, evaluate_array, exp_sum
 from expmean.verify import convergence_report
+from zero_oracle import bisection_route, root_route, zero_errors
 from expmean.zerofind import (
     QuadratureConfig,
     Rect,
@@ -290,7 +291,9 @@ def test_small_box_with_two_zeros_is_split_again():
     # (e^{2pi z} - 1)(e^{2pi z} - 1.002): two simple zeros 3.2e-4 apart share a
     # small box whose Newton point does not carry its count, so it is bisected
     f = exp_sum([(1.002, 0), (-2.002, 1), (1, 2)])
-    zs = search_zeros(f, 0.6).zeros
+    with bisection_route() as bisected:
+        zs = search_zeros(f, 0.6).zeros
+    assert bisected
     assert [z.multiplicity for z in zs] == [1, 1]
     expected = sorted([0j, complex(math.log(1.002) / (2 * math.pi), 0)], key=lambda z: z.real)
     for z, e in zip(sorted(zs, key=lambda z: z.location.real), expected):
@@ -337,9 +340,12 @@ def _contour_sides(monkeypatch):
 
 
 def test_simple_zeros_wind_no_small_square(monkeypatch):
-    # a box of count 1 needs no square to measure its zero's multiplicity
+    # a box of count 1 needs no square to measure its zero's multiplicity (the
+    # root route winds one square per claim, so the search bisects here)
     sides = _contour_sides(monkeypatch)
-    zs = search_zeros(THREE_TERM, 5.1).zeros
+    with bisection_route() as bisected:
+        zs = search_zeros(THREE_TERM, 5.1).zeros
+    assert bisected
     assert all(z.multiplicity == 1 for z in zs)
     assert sides and min(sides) > 2 * zerofind._MULT_RADIUS
 
@@ -350,8 +356,10 @@ def test_depth_exhaustion_reports_sorted_claims_without_windings(monkeypatch):
     # 0.1 (from depth 10 on the search completes); the error path winds no square
     monkeypatch.setattr(zerofind, "_MAX_DEPTH", 9)
     sides = _contour_sides(monkeypatch)
-    with pytest.raises(NumericalError, match="depth exhausted") as exc:
-        search_zeros(THREE_TERM, 1.3)
+    with bisection_route() as bisected:
+        with pytest.raises(NumericalError, match="depth exhausted") as exc:
+            search_zeros(THREE_TERM, 1.3)
+    assert bisected
     partial = exc.value.partial
     assert partial == sorted(partial, key=lambda z: (z.location.imag, z.location.real))
     got = sorted((z.location for z in partial), key=lambda z: z.real)
@@ -366,13 +374,15 @@ def test_bisection_fallback_finds_the_same_zeros(f, R, monkeypatch):
     # Newton declining every box of diameter >= 1e-3 forces isolation by
     # bisection down to that size; the zeros found must not change
     key = lambda z: (round(z.location.imag, 6), z.location.real)
-    default = sorted(search_zeros(f, R).zeros, key=key)
-    newton = zerofind._newton_refine
-    monkeypatch.setattr(
-        zerofind, "_newton_refine",
-        lambda ws, box: None if box.diameter() >= 1e-3 else newton(ws, box),
-    )
-    fallback = sorted(search_zeros(f, R).zeros, key=key)
+    with bisection_route() as bisected:
+        default = sorted(search_zeros(f, R).zeros, key=key)
+        newton = zerofind._newton_refine
+        monkeypatch.setattr(
+            zerofind, "_newton_refine",
+            lambda ws, box: None if box.diameter() >= 1e-3 else newton(ws, box),
+        )
+        fallback = sorted(search_zeros(f, R).zeros, key=key)
+    assert len(bisected) == 2
     assert default and len(fallback) == len(default)
     assert [z.multiplicity for z in fallback] == [z.multiplicity for z in default]
     for a, b in zip(fallback, default):
@@ -418,7 +428,9 @@ def test_failed_multiplicity_square_sends_the_box_back_to_bisection(monkeypatch)
     assert not zerofind._accounts_for(_Workspace(DOUBLE), 0j, 2, Rect(-0.03, 0.03, -0.03, 0.03))
     assert len(squares) == 1
     squares.clear()
-    zs = search_zeros(DOUBLE, 0.6).zeros
+    with bisection_route() as bisected:
+        zs = search_zeros(DOUBLE, 0.6).zeros
+    assert bisected
     assert [z.multiplicity for z in zs] == [2]
     assert abs(zs[0].location) < 1e-6
     assert len(squares) == 2
@@ -438,8 +450,10 @@ def test_box_neither_cut_nor_claimed_raises_with_partial(monkeypatch):
         zerofind, "_cut_lines",
         lambda box: iter(()) if box.contains(0.5j) and box.diameter() < 0.01 else cut_lines(box),
     )
-    with pytest.raises(NumericalError, match="no admissible cut line") as exc:
-        search_zeros(TWO_TERM, 1.0)
+    with bisection_route() as bisected:
+        with pytest.raises(NumericalError, match="no admissible cut line") as exc:
+            search_zeros(TWO_TERM, 1.0)
+    assert bisected
     [zero] = exc.value.partial
     assert zero.multiplicity == 1 and abs(zero.location + 0.5j) < 1e-9
 
@@ -489,27 +503,35 @@ def test_refinement_cap_keeps_the_finest_settled_windings():
 )
 def test_search_zeros_match_laurent_roots(exponents, polar, R):
     # rational frequencies k/q: under w = e^{2pi z/q} the zeros of f are
-    # (q/2pi) log w + i q k over the roots w of the image polynomial F
+    # (q/2pi) log w + i q k over the roots w of the image polynomial F.  The
+    # root route takes its zeros from those roots, so each sum runs on both
+    # routes
     q, ks = exponents
     f = exp_sum([(cmath.rect(*rp), Fraction(k, q)) for k, rp in zip(ks, polar)])
     # the image's q is the least common denominator of the drawn k/q
     F, _, q = laurent_images(f, exp_sum([(1, 0)]))
     roots = roots_nonzero(F)
     assume(all(abs(a - b) >= 1e-3 for i, a in enumerate(roots) for b in roots[:i]))
-    s = search_zeros(f, R)
-    expected = []
-    for w in roots:
-        base = q * cmath.log(w) / (2 * math.pi)
-        k = math.floor((-s.height - base.imag) / q) + 1
-        while base.imag + q * k < s.height:
-            expected.append(base + 1j * q * k)
-            k += 1
-    # the roots are simple and the expected zeros lie far apart, so nearest
-    # matches within 1e-8 pair them up
-    assert len(s.zeros) == len(expected)
-    for b in expected:
-        z = min(s.zeros, key=lambda z: abs(z.location - b))
-        assert abs(z.location - b) < 1e-8 and z.multiplicity == 1
+    with root_route() as outcomes:
+        on_roots = search_zeros(f, R)
+    assert not isinstance(outcomes[0], str), outcomes
+    with bisection_route() as bisected:
+        on_bisection = search_zeros(f, R)
+    assert bisected
+    for s in (on_roots, on_bisection):
+        expected = []
+        for w in roots:
+            base = q * cmath.log(w) / (2 * math.pi)
+            k = math.floor((-s.height - base.imag) / q) + 1
+            while base.imag + q * k < s.height:
+                expected.append(base + 1j * q * k)
+                k += 1
+        # the roots are simple and the expected zeros lie far apart, so nearest
+        # matches within 1e-8 pair them up
+        assert len(s.zeros) == len(expected)
+        for b in expected:
+            z = min(s.zeros, key=lambda z: abs(z.location - b))
+            assert abs(z.location - b) < 1e-8 and z.multiplicity == 1
 
 
 def test_search_zeros_conservation_and_containment():
@@ -831,3 +853,33 @@ def test_best_ordinate_matches_per_candidate_scoring(monkeypatch):
         # the scan scores its lines from its own separable table
         assert evaluations == []
         assert got == _reference_ordinate(ws, R, window, b), (f, R)
+
+
+def test_a_square_that_misses_its_root_sends_the_search_to_bisection(monkeypatch):
+    # the root -1 of 1 + w moved by 1e-3 puts its claims 1.6e-4 from the zeros,
+    # outside their squares of half-side 1e-4: a square winds 0, and the search
+    # returns the zeros bisection finds from the outer box
+    with bisection_route():
+        expected = search_zeros(TWO_TERM, 3.0)
+    solve = zerofind.laurent.roots_nonzero
+    monkeypatch.setattr(zerofind.laurent, "roots_nonzero", lambda p: [w - 1e-3 for w in solve(p)])
+    with root_route() as outcomes:
+        assert search_zeros(TWO_TERM, 3.0) == expected
+    assert outcomes == ["square"]
+
+
+def test_an_image_above_the_degree_cap_bisects():
+    # 1 + e(z/100) + e(z) is F(e(z/100)) with F of degree 100
+    f = exp_sum([(1, 0), (1, "1/100"), (1, 1)])
+    with root_route() as outcomes:
+        found = search_zeros(f, 1.5)
+    assert outcomes == ["degree"]
+    assert sum(z.multiplicity for z in found.zeros) == found.outer_winding == 2
+
+
+def test_a_triple_root_is_one_claim_of_multiplicity_three():
+    with root_route() as outcomes:
+        found = search_zeros(TRIPLE, 1.3)
+    assert not isinstance(outcomes[0], str)
+    assert [z.multiplicity for z in found.zeros] == [3, 3, 3]
+    assert zero_errors(TRIPLE, found, "root") == []
