@@ -73,9 +73,11 @@ from .sums import (
 _CLEARANCE_REL = 1e-13
 _BOX_DIAMETER = 0.1
 _MULT_RADIUS = 1e-4
-# highest degree of a Laurent image whose roots the root route takes: np.roots
-# costs the cube of the degree, about 2 ms at 64, 16 ms at 128 and 160 ms at
-# 256 on one core
+# highest degree of a Laurent image whose roots the root route takes, where it
+# stops beating bisection: np.roots costs the cube of the degree.  Searched to
+# R = 1.5 and 6 (2 to 12 zeros), 1 + e(z/d) + e(z) and a five-term image took
+# 4-5 ms on the root route against 4-37 ms to bisect at d = 64, 13-15 against
+# 3-22 ms at 96, and 144-152 against 4-115 ms at 256 (BLAS on one thread)
 _MAX_ROOT_DEGREE = 64
 _MERGE_RADIUS = 1e-7
 # the finest doubling at which a winding of the test suite or of the benchmark
@@ -535,7 +537,7 @@ def _subdivide(ws: _Workspace, outer: Rect, total: int, claims: list[Zero]) -> N
 def _root_claims(ws: _Workspace, outer: Rect, total: int) -> list[Zero] | str:
     """Claims from the roots w of f's Laurent image F under w = e(z/q), or the
     step at which the route declines: "basis", "degree", "solve", "count",
-    "square" or "newton".
+    "square", "newton" or "residual".
 
     Each root gives the zeros q log(w)/2pi + iqk; roots whose zeros lie
     within _MULT_RADIUS merge into one claim at their mean, of multiplicity
@@ -544,14 +546,15 @@ def _root_claims(ws: _Workspace, outer: Rect, total: int) -> list[Zero] | str:
     min(_MULT_RADIUS, a third of the gap to the nearest other claim) and
     inside the outer box, must wind exactly its multiplicity: the squares
     are disjoint, so they hold every zero in the box.  A simple zero is then
-    polished by Newton from its square.
+    polished by Newton from its square; a multiple claim's mean must meet
+    _RESIDUAL_TOL, which the mean of distinct zeros some 5e-5 apart does not.
     """
     if not ws.f.basis.is_default():
         return "basis"
     try:
         F, _, q = laurent.laurent_images(ws.f, ws.f)
-    except InputError:  # q beyond double range
-        return "degree"
+    except InputError:  # q beyond double range: z = q log(w)/2pi has no doubles
+        return "solve"
     if F.exponent_span() > _MAX_ROOT_DEGREE:
         return "degree"
     try:
@@ -602,6 +605,8 @@ def _root_claims(ws: _Workspace, outer: Rect, total: int) -> list[Zero] | str:
             z = _newton_refine(ws, square)
             if z is None:
                 return "newton"
+        elif not ws.small_residual(z, _RESIDUAL_TOL):  # distinct zeros: their mean is none
+            return "residual"
         claims.append(Zero(z, m))
     return claims
 

@@ -18,9 +18,10 @@ and how many failed, by error type.  The finest doubling at which a winding
 settles is the least refinement cap that keeps every one of them.  It also
 prints how many zero searches took the root route and how many bisected, with
 the step at which the root route declined each of the latter: the basis is
-not the default one, the Laurent image's degree is above the cap, the root
-solve failed, the claims do not add up to the outer winding, a square missed
-its multiplicity, or Newton left a square.
+not the default one, the Laurent image's degree is above the cap, the image
+or its roots do not fit doubles, the claims do not add up to the outer
+winding, a square missed its multiplicity, Newton left a square, or a
+multiple claim's mean failed the residual bound.
 
 From the repository root:
 
@@ -122,7 +123,7 @@ def route_census(zf):
         zf._root_claims = claims
 
 
-DECLINES = ("basis", "degree", "solve", "count", "square", "newton")
+DECLINES = ("basis", "degree", "solve", "count", "square", "newton", "residual")
 
 
 def census(zf, run, root: str, seeds: list[int]) -> int:
@@ -168,11 +169,11 @@ def census(zf, run, root: str, seeds: list[int]) -> int:
     if not hasattr(zf, "_root_claims"):
         return 0
     print("\nzero searches by route, and the step at which the root route declined")
-    print(f"{'source':<20}{'root':>7}{'bisect':>7}" + "".join(f"{d:>8}" for d in DECLINES))
+    print(f"{'source':<20}{'root':>7}{'bisect':>7}" + "".join(f"{d:>9}" for d in DECLINES))
     for label, _, routes in counts:
         declined = [routes[d] for d in DECLINES]
         print(f"{label:<20}{routes['root']:>7,}{sum(declined):>7,}"
-              + "".join(f"{c:>8,}" for c in declined))
+              + "".join(f"{c:>9,}" for c in declined))
     return 0
 
 

@@ -883,3 +883,30 @@ def test_a_triple_root_is_one_claim_of_multiplicity_three():
     assert not isinstance(outcomes[0], str)
     assert [z.multiplicity for z in found.zeros] == [3, 3, 3]
     assert zero_errors(TRIPLE, found, "root") == []
+
+
+def test_distinct_zeros_merged_into_one_claim_are_claimed_at_a_zero():
+    # (e(z) - 1)(e(z) - c) with e(z) = exp(2 pi z) and c = exp(2 pi 5e-5): simple
+    # zeros at ik and 5e-5 + ik, one claim of multiplicity 2 on either route.
+    # Their mean leaves |f| about 6e-9 of the envelope, above _RESIDUAL_TOL, so
+    # the root route declines and bisection claims Newton's point, a zero
+    c = math.exp(2 * math.pi * 5e-5)
+    f = exp_sum([(c, 0), (-(1 + c), 1), (1, 2)])
+    with bisection_route():
+        expected = search_zeros(f, 1.0)
+    with root_route() as outcomes:
+        found = search_zeros(f, 1.0)
+    assert outcomes == ["residual"]
+    assert found == expected
+    assert [z.multiplicity for z in found.zeros] == [2]
+    assert min(abs(found.zeros[0].location - z) for z in (0, 5e-5)) < 1e-9
+
+
+def test_a_lattice_unit_beyond_double_range_declines_before_the_solve():
+    # 1 + e(63 z / (2 10**308)) has an image of degree 63, but q = 2 10**308
+    # leaves z = q log(w)/2pi no doubles
+    f = exp_sum([(1, 0), (1, Fraction(63, 2 * 10**308))])
+    with root_route() as outcomes:
+        found = search_zeros(f, 1.0)
+    assert outcomes == ["solve"]
+    assert found.zeros == [] and found.outer_winding == 0
