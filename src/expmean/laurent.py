@@ -72,7 +72,9 @@ def roots_nonzero(p: LaurentPolynomial) -> list[complex]:
     """Roots away from the origin, repeated by multiplicity, sorted by position.
 
     There are always exactly exponent-span of them.  A span above
-    _MAX_DEGREE raises ResourceLimitError before any work.
+    _MAX_DEGREE raises ResourceLimitError before any work, and a solve that
+    returns a root of 0, or one that is not finite, raises NumericalError:
+    in doubles the polynomial has no such root set.
     """
     if p.is_zero():
         raise InputError("zero polynomial has no root set")
@@ -91,6 +93,8 @@ def roots_nonzero(p: LaurentPolynomial) -> list[complex]:
             roots = np.roots(coeffs[::-1])
     except np.linalg.LinAlgError as exc:  # the companion matrix overflowed
         raise NumericalError(f"polynomial root solve failed: {exc}") from exc
+    for w in roots[(roots == 0) | ~np.isfinite(roots)]:
+        raise NumericalError(f"polynomial root solve gave {complex(w)}: no finite non-zero double")
     return sorted(map(complex, roots), key=lambda w: (w.real, w.imag))
 
 

@@ -3,26 +3,26 @@
 Every zero of a sum with at least two terms lies in an explicit vertical
 strip |Re z| < B: once the extreme term is factored out, the remaining
 tail is < 1 in modulus beyond the strip, so the sum cannot vanish there.
-A sum with rational frequencies of common denominator q is F(e(z/q)) for a
-Laurent polynomial F.  When F has degree at most _MAX_ROOT_DEGREE, the zeros
-with |Im z| < R come from its roots w, as q log(w)/2pi + iqk, and one small
-square's winding count certifies each claim (Delves & Lyness, Math. Comp.
-21 (1967)); a claim that fails sends the search to bisection.  Otherwise
-the zeros are isolated by recursive
-rectangle bisection driven by boundary winding counts, one generation of
-boxes at a time.  A box below _BOX_DIAMETER = 0.1 is claimed in one of two
-ways: by damped Newton from its center, when the point it settles on stays
-in the box and carries the box's count (else the box is cut again), or at
-its center, when the box cannot be cut and the center meets the residual
-bound.  A box that can be neither cut nor claimed is the subdivision's one
-failure.  Each zero's multiplicity is the winding count of the box that
-claims it.  A winding count compares Simpson rules at doubling sample
-counts and takes each exponential once: f and f' share the generator
-exponentials of a contour, and a refined contour forms its points,
-exponentials and envelope at its new samples only.  The first contours of
-both halves of every cut in a generation are evaluated together, up to
-_BATCH_CONTOURS per evaluation, and each contour's values are bitwise its
-own; only a contour that does not settle there is refined alone.
+Both routes of a search claim zeros by one rule: a claim (z, m) stands when
+z meets the residual bound _RESIDUAL_TOL and a small square around z winds
+exactly m (Delves & Lyness, Math. Comp. 21 (1967)).  A sum with rational
+frequencies of common denominator q is F(e(z/q)) for a Laurent polynomial
+F; when F has degree at most _MAX_ROOT_DEGREE, its roots w give the points
+q log(w)/2pi + iqk, and a point that fails the rule sends the search to
+bisection.  Otherwise recursive rectangle bisection, driven by boundary
+winding counts one generation of boxes at a time, claims a box below
+_BOX_DIAMETER = 0.1 at the point damped Newton settles on from its center,
+when that point stays in the box and, for a count above 1, passes the rule
+(else the box is cut again), or at its center, when the box cannot be cut
+and the center meets the residual bound.  A box that can be neither cut nor
+claimed is the subdivision's one failure.  A winding count compares Simpson
+rules at doubling sample counts and takes each exponential once: f and f'
+share the generator exponentials of a contour, and a refined contour forms
+its points, exponentials and envelope at its new samples only.  The first
+contours of both halves of every cut in a generation, and of every square,
+are evaluated together, up to _BATCH_CONTOURS per evaluation, and each
+contour's values are bitwise its own; only a contour that does not settle
+there is refined alone.
 
 Horizontal contour sides must avoid zeros.  A sum with n terms has fewer
 than n zeros in any horizontal strip of height below 1/(a_n - a_1), so the
@@ -230,7 +230,8 @@ class _Workspace:
         fz = evaluate(self.f, z) if fz is None else fz
         freqs, coeffs = self.f.numeric_parts
         with np.errstate(over="ignore"):
-            return abs(fz) <= tol * float(np.abs(coeffs) @ np.exp(TWO_PI * freqs * z.real))
+            env = float(np.abs(coeffs) @ np.exp(TWO_PI * freqs * z.real))
+        return math.hypot(fz.real, fz.imag) <= tol * env  # abs(fz) raises past double range
 
 
 @functools.cache
@@ -467,14 +468,14 @@ def _newton_refine(ws: _Workspace, box: Rect) -> complex | None:
             # it here would double-count the zero
             return z if box.contains(z, 1e-12) else None
         dz = evaluate(ws.df, z)
-        if dz == 0 or not math.isfinite(abs(dz)):
+        if dz == 0 or not math.isfinite(math.hypot(dz.real, dz.imag)):
             return None
         step = fz / dz
         lam = 1.0
         while lam > 1e-4:
             cand = z - lam * step
             fc = evaluate(ws.f, cand)
-            if abs(fc) < abs(fz):
+            if math.hypot(fc.real, fc.imag) < math.hypot(fz.real, fz.imag):
                 z, fz = cand, fc
                 break
             lam *= 0.5
@@ -487,17 +488,29 @@ def _newton_refine(ws: _Workspace, box: Rect) -> complex | None:
     return None
 
 
-def _accounts_for(ws: _Workspace, z: complex, count: int, box: Rect) -> bool:
-    """Whether the zero at z carries the box's whole count: one square around
-    z of half-side min(_MULT_RADIUS, box diameter) must wind count times.  A
-    contour that fails says no, and the box is cut again."""
-    if count == 1:
-        return True
-    r = min(_MULT_RADIUS, box.diameter())
-    try:
-        return _winding(ws, Rect(z.real - r, z.real + r, z.imag - r, z.imag + r)) == count
-    except (ContourTooCloseError, ContourOnZeroError):
-        return False
+def _claim_rule(ws: _Workspace, claims: list[tuple[complex, int, float]]) -> Iterator[str | None]:
+    """The claim rule of both routes, for each (z, m, r) in turn: None when the
+    square of half-side r around z winds exactly m and z meets _RESIDUAL_TOL,
+    else the failed step, "square" (a contour that fails says no) or
+    "residual".  The squares' first levels are evaluated together (see
+    _first_levels)."""
+    squares = [Rect(z.real - r, z.real + r, z.imag - r, z.imag + r) for z, _, r in claims]
+    for (z, m, _), square, first in zip(claims, squares, _first_levels(ws, squares)):
+        try:
+            wound = _winding(ws, square, first) == m
+        except (ContourTooCloseError, ContourOnZeroError):
+            wound = False
+        yield (None if ws.small_residual(z, _RESIDUAL_TOL) else "residual") if wound else "square"
+
+
+def _near_pairs(points: list[complex], reach: float) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j of points, sorted by Im z, at most reach apart."""
+    for i, a in enumerate(points):
+        for j in range(i + 1, len(points)):  # only the next few can lie within reach
+            if points[j].imag - a.imag > reach:
+                break
+            if abs(points[j] - a) <= reach:
+                yield i, j
 
 
 def _position(zero: Zero) -> tuple[float, float]:
@@ -509,16 +522,17 @@ def _subdivide(ws: _Workspace, outer: Rect, total: int, claims: list[Zero]) -> N
     made, so a failure leaves the claims so far there."""
     boxes = [(outer, total)]
     for depth in itertools.count():
+        live = [(box, count) for box, count in boxes if count]
+        points = [_newton_refine(ws, box) if box.diameter() < _BOX_DIAMETER else None
+                  for box, _ in live]
+        failed = _claim_rule(ws, [(z, n, min(_MULT_RADIUS, box.diameter()))
+                                  for (box, n), z in zip(live, points) if z is not None and n > 1])
         cutting = []
-        for box, count in boxes:
-            if count == 0:
-                continue
-            if box.diameter() < _BOX_DIAMETER:
-                z = _newton_refine(ws, box)
-                if z is not None and _accounts_for(ws, z, count, box):
-                    claims.append(Zero(z, count))
-                    continue
-            cutting.append((box, count))
+        for (box, count), z in zip(live, points):
+            if z is not None and (count == 1 or next(failed) is None):
+                claims.append(Zero(z, count))
+            else:
+                cutting.append((box, count))
         if not cutting:
             return
         boxes = []
@@ -537,17 +551,16 @@ def _subdivide(ws: _Workspace, outer: Rect, total: int, claims: list[Zero]) -> N
 def _root_claims(ws: _Workspace, outer: Rect, total: int) -> list[Zero] | str:
     """Claims from the roots w of f's Laurent image F under w = e(z/q), or the
     step at which the route declines: "basis", "degree", "solve", "count",
-    "square", "newton" or "residual".
+    "square" or "residual".
 
     Each root gives the zeros q log(w)/2pi + iqk; roots whose zeros lie
-    within _MULT_RADIUS merge into one claim at their mean, of multiplicity
-    the number merged.  The claims in the outer box must add up to its
-    winding, and one square around each claim, of half-side
-    min(_MULT_RADIUS, a third of the gap to the nearest other claim) and
-    inside the outer box, must wind exactly its multiplicity: the squares
-    are disjoint, so they hold every zero in the box.  A simple zero is then
-    polished by Newton from its square; a multiple claim's mean must meet
-    _RESIDUAL_TOL, which the mean of distinct zeros some 5e-5 apart does not.
+    within _MULT_RADIUS merge into one point at their mean, of multiplicity
+    the number merged.  The points in the outer box must add up to its
+    winding, and each must pass the claim rule (see _claim_rule) with a
+    square of half-side min(_MULT_RADIUS, a third of the gap to the nearest
+    other point) inside the outer box: the squares are disjoint, so they
+    hold every zero in the box.  The mean of distinct zeros some 5e-5 apart
+    fails the residual bound, as does a root that the solve put off its zero.
     """
     if not ws.f.basis.is_default():
         return "basis"
@@ -560,8 +573,6 @@ def _root_claims(ws: _Workspace, outer: Rect, total: int) -> list[Zero] | str:
     try:
         roots = laurent.roots_nonzero(F)
     except NumericalError:
-        return "solve"
-    if not all(w != 0 and cmath.isfinite(w) for w in roots):
         return "solve"
     # single-linkage clusters of roots whose nearest zeros lie within _MULT_RADIUS
     scale = q / TWO_PI
@@ -584,52 +595,34 @@ def _root_claims(ws: _Workspace, outer: Rect, total: int) -> list[Zero] | str:
         return "count"
     points.sort(key=lambda p: p[0].imag)
     half = [_MULT_RADIUS] * len(points)
-    for i, (a, _) in enumerate(points):
-        for j in range(i + 1, len(points)):  # sorted by Im z: only the next few lie within reach
-            if points[j][0].imag - a.imag >= 3 * _MULT_RADIUS:
-                break
-            gap = abs(points[j][0] - a) / 3
-            half[i], half[j] = min(half[i], gap), min(half[j], gap)
-    if not all(outer.contains(z, -r) for (z, _), r in zip(points, half)):
+    zs = [z for z, _ in points]
+    for i, j in _near_pairs(zs, 3 * _MULT_RADIUS):
+        gap = abs(zs[j] - zs[i]) / 3
+        half[i], half[j] = min(half[i], gap), min(half[j], gap)
+    if not all(outer.contains(z, -r) for z, r in zip(zs, half)):
         return "square"
-    squares = [Rect(z.real - r, z.real + r, z.imag - r, z.imag + r)
-               for (z, _), r in zip(points, half)]
-    claims = []
-    for (z, m), square, first in zip(points, squares, _first_levels(ws, squares)):
-        try:
-            if _winding(ws, square, first) != m:
-                return "square"
-        except (ContourTooCloseError, ContourOnZeroError):
-            return "square"
-        if m == 1:
-            z = _newton_refine(ws, square)
-            if z is None:
-                return "newton"
-        elif not ws.small_residual(z, _RESIDUAL_TOL):  # distinct zeros: their mean is none
-            return "residual"
-        claims.append(Zero(z, m))
-    return claims
+    failed = _claim_rule(ws, [(z, m, r) for (z, m), r in zip(points, half)])
+    return next(filter(None, failed), None) or [Zero(z, m) for z, m in points]
 
 
 def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
     """Zeros with |Im z| < height near R, plus the contour bookkeeping.
 
-    A sum on the default basis whose Laurent image has degree at most
-    _MAX_ROOT_DEGREE = 64 takes the root route first (see _root_claims): its
-    zeros come from the image's roots, each claim certified by one square's
-    winding.  When that route declines, and for every other sum, boxes are
-    bisected one generation at a time from the outer box (see _bisect), and
-    a box below _BOX_DIAMETER = 0.1 can be claimed in two ways.  Before it
-    is cut, the point Newton finds from its center claims it when that point
-    lies in the box and accounts for the box's whole count; when Newton
-    fails or leaves the box, or for a mixed cluster of near-coincident but
-    distinct zeros, the box is cut further, so each zero gets its own
-    representative.  A box that cannot be cut, because no cut line is
-    admissible or its generation is at _MAX_DEPTH, is claimed at its center
-    when the center meets _RESIDUAL_TOL.  A box that can be neither cut nor
-    claimed raises, the one failure of the subdivision.  A claim's
-    multiplicity is the winding count of its box or square, so the
-    multiplicities add up to the outer winding on both routes.
+    Every claim stands by one rule (see _claim_rule): its point meets
+    _RESIDUAL_TOL and a square around it winds its multiplicity.  A sum on
+    the default basis whose Laurent image has degree at most
+    _MAX_ROOT_DEGREE = 64 takes the root route first (see _root_claims).
+    When that route declines, and for every other sum, boxes are bisected
+    one generation at a time from the outer box (see _bisect).  A box below
+    _BOX_DIAMETER = 0.1 is claimed at the point Newton finds from its center
+    when that point lies in the box and, for a count above 1, passes the
+    rule with a square of half-side min(_MULT_RADIUS, box diameter); a count
+    of 1 needs no square, the box being one.  Otherwise, as for a mixed
+    cluster of near-coincident but distinct zeros, the box is cut further.
+    A box that cannot be cut, because no cut line is admissible or its
+    generation is at _MAX_DEPTH, is claimed at its center when the center
+    meets _RESIDUAL_TOL.  A box that can be neither cut nor claimed raises,
+    the one failure of the subdivision.
     Two claims within _MERGE_RADIUS * min(1, 1/(a_n - a_1)) of each other
     raise: box counts cannot see one zero claimed by two boxes.  So do n or
     more zeros, counted with multiplicity, in a window of height
@@ -650,12 +643,9 @@ def search_zeros(f: ExponentialSum, R: float) -> ZeroSearch:
 
         zeros = sorted(claims, key=_position)
         radius = _MERGE_RADIUS * min(1.0, 1.0 / f.span)
-        for i, a in enumerate(zeros):
-            for c in zeros[i + 1:]:  # sorted by Im z: only the next few can lie within reach
-                if c.location.imag - a.location.imag > radius:
-                    break
-                if abs(c.location - a.location) <= radius:
-                    raise NumericalError(f"two boxes claim the zeros {a.location} and {c.location}")
+        for i, j in _near_pairs([z.location for z in zeros], radius):
+            a, c = zeros[i].location, zeros[j].location
+            raise NumericalError(f"two boxes claim the zeros {a} and {c}")
         # fewer than n zeros in any window of height below 1/span, with multiplicity
         ims = [z.location.imag for z in zeros]
         upto = list(itertools.accumulate((z.multiplicity for z in zeros), initial=0))

@@ -20,8 +20,8 @@ prints how many zero searches took the root route and how many bisected, with
 the step at which the root route declined each of the latter: the basis is
 not the default one, the Laurent image's degree is above the cap, the image
 or its roots do not fit doubles, the claims do not add up to the outer
-winding, a square missed its multiplicity, Newton left a square, or a
-multiple claim's mean failed the residual bound.
+winding, a square missed its multiplicity, or a claim failed the residual
+bound.
 
 From the repository root:
 
@@ -123,7 +123,7 @@ def route_census(zf):
         zf._root_claims = claims
 
 
-DECLINES = ("basis", "degree", "solve", "count", "square", "newton", "residual")
+DECLINES = ("basis", "degree", "solve", "count", "square", "residual")
 
 
 def census(zf, run, root: str, seeds: list[int]) -> int:

@@ -695,6 +695,12 @@ _BEYOND_DOUBLE = {
         },
         ["laurent-check"], 3, "root sum does not fit a double",
     ),
+    # np.roots returns the root -1e-300 of 1e-300 + w + 1e300 w^2 as exactly 0
+    "zero-root": (
+        {"f": [{"coeff": [1e-300, 0], "freq": "0"}, _ONE_TERM, {"coeff": [1e300, 0], "freq": "2"}],
+         "g": [{"coeff": [1, 0], "freq": "-1"}]},
+        ["laurent-check"], 3, "polynomial root solve gave 0j",
+    ),
     # the mean of g = 1e308 over the zeros of 1 + e(z) is 1e308, but the
     # constant terms carry a factor 2 pi and overflow on the way
     "float-mean": (
@@ -714,6 +720,25 @@ def test_values_beyond_double_range_exit_code(problem_file, capsys, case, comman
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, counts",
+    [(["zeros", "--R", "1"], [598]), (["density", "--R", "1"], [598]),
+     (["verify", "--R-list", "1,2"], [598, 1196])],
+    ids=["zeros", "density", "verify"],
+)
+def test_newton_steps_past_double_range_are_declined(problem_file, capsys, flags, counts):
+    # 1e300 e(z) + e(300 z) vanishes on Re z = ln(1e300)/(2 pi 299), where
+    # Newton's trial points reach |f| past the largest double with both
+    # parts finite: such a step is refused, not an OverflowError
+    doc = {"f": [{"coeff": [1e300, 0], "freq": "1"}, {"coeff": [1, 0], "freq": "300"}]}
+    res = run_json(flags + ["--input", problem_file(doc)], capsys)["results"]
+    assert [row["count"] for row in res.get("rows", [res])] == counts
+    if flags[0] == "zeros":
+        assert res["outer_winding"] == 598
+        x = math.log(1e300) / (2 * math.pi * 299)
+        assert all(abs(z["re"] - x) < 1e-9 and z["multiplicity"] == 1 for z in res["zeros"])
 
 
 @pytest.mark.parametrize("command", ["mean", "density"])

@@ -88,6 +88,15 @@ def test_roots_out_of_double_range_is_numerical_error():
         roots_nonzero(LaurentPolynomial({0: 1e300, 1: 1.0, 2: 1e-300}))
 
 
+def test_a_root_of_zero_in_doubles_is_numerical_error():
+    # 1e-300 + w + 1e300 w^2: np.roots returns its root -1e-300 as exactly 0,
+    # which the solve refuses whatever g the root sum would evaluate there
+    with pytest.raises(NumericalError, match="gave 0j"):
+        roots_nonzero(LaurentPolynomial({0: 1e-300, 1: 1.0, 2: 1e300}))
+    with pytest.raises(NumericalError, match="gave 0j"):
+        sum_over_roots(LaurentPolynomial({0: 1e-300, 1: 1.0, 2: 1e300}), LaurentPolynomial({1: 1}))
+
+
 def test_roots_degree_budget_is_checked_up_front():
     # a companion matrix of order 10^6 would need 14.6 TiB
     f = LaurentPolynomial({0: 1, 1_000_003: 1})

@@ -99,12 +99,14 @@ def test_convergence_report_failing_tolerance():
 
 
 def test_fewnomial_check_examples(monkeypatch):
-    # the two boxes of TWO_TERM at R = 1 claim points 1e-3 apart: both lie
-    # in one window of height 0.999, where a two-term sum has one zero
+    # the two bisection boxes of TWO_TERM at R = 1 claim points 1e-3 apart:
+    # both lie in one window of height 0.999, where a two-term sum has one zero
     step = iter(range(2))
     monkeypatch.setattr(zerofind, "_newton_refine", lambda ws, box: 0.5j + 1e-3j * next(step))
-    with pytest.raises(NumericalError, match="window of height 0.999") as exc:
-        search_zeros(TWO_TERM, 1.0)
+    with bisection_route() as bisected:
+        with pytest.raises(NumericalError, match="window of height 0.999") as exc:
+            search_zeros(TWO_TERM, 1.0)
+    assert bisected
     assert exc.value.partial == [Zero(0.5j, 1), Zero(0.5j + 1e-3j, 1)]
 
 

@@ -29,7 +29,7 @@ from expmean.errors import (
 from expmean.laurent import LaurentPolynomial, laurent_images, roots_nonzero
 from expmean.sums import FrequencyBasis, coefficient_envelope, evaluate, evaluate_array, exp_sum
 from expmean.verify import convergence_report
-from zero_oracle import bisection_route, root_route, zero_errors
+from zero_oracle import bisection_route, reference_zeros, root_route, zero_errors
 from expmean.zerofind import (
     QuadratureConfig,
     Rect,
@@ -425,7 +425,8 @@ def test_failed_multiplicity_square_sends_the_box_back_to_bisection(monkeypatch)
     halve = zerofind._bisect
     monkeypatch.setattr(zerofind, "_winding", first_square_on_a_zero)
     monkeypatch.setattr(zerofind, "_bisect", lambda ws, bs: cut.extend(bs) or halve(ws, bs))
-    assert not zerofind._accounts_for(_Workspace(DOUBLE), 0j, 2, Rect(-0.03, 0.03, -0.03, 0.03))
+    claim = [(0j, 2, zerofind._MULT_RADIUS)]
+    assert list(zerofind._claim_rule(_Workspace(DOUBLE), claim)) == ["square"]
     assert len(squares) == 1
     squares.clear()
     with bisection_route() as bisected:
@@ -459,11 +460,13 @@ def test_box_neither_cut_nor_claimed_raises_with_partial(monkeypatch):
 
 
 def test_double_claim_raises_with_partial(monkeypatch):
-    # two boxes of count 1 whose Newton points coincide: counts add up, yet
-    # one zero is claimed twice and the other missed
+    # two bisection boxes of count 1 whose Newton points coincide: counts add
+    # up, yet one zero is claimed twice and the other missed
     monkeypatch.setattr(zerofind, "_newton_refine", lambda ws, box: 0.5j)
-    with pytest.raises(NumericalError, match="two boxes claim") as exc:
-        search_zeros(TWO_TERM, 1.0)
+    with bisection_route() as bisected:
+        with pytest.raises(NumericalError, match="two boxes claim") as exc:
+            search_zeros(TWO_TERM, 1.0)
+    assert bisected
     assert exc.value.partial == [Zero(0.5j, 1), Zero(0.5j, 1)]
 
 
@@ -866,6 +869,56 @@ def test_a_square_that_misses_its_root_sends_the_search_to_bisection(monkeypatch
     with root_route() as outcomes:
         assert search_zeros(TWO_TERM, 3.0) == expected
     assert outcomes == ["square"]
+
+
+def test_a_root_off_its_zero_winds_but_fails_the_residual_bound(monkeypatch):
+    # the root -1 of 1 + w moved by 1e-6 puts its claims 1.6e-7 from the zeros,
+    # well inside their squares: the first square winds 1, but |f| there is
+    # 5e-7 of the envelope, above _RESIDUAL_TOL, so the route declines and the
+    # search returns the zeros bisection finds from the outer box
+    with bisection_route():
+        expected = search_zeros(TWO_TERM, 3.0)
+    solve, winding, squares = zerofind.laurent.roots_nonzero, zerofind._winding, []
+
+    def spy(ws, rect, first=None):
+        n = winding(ws, rect, first)
+        if rect.width() == 2 * zerofind._MULT_RADIUS:
+            squares.append(n)
+        return n
+
+    monkeypatch.setattr(zerofind.laurent, "roots_nonzero", lambda p: [w - 1e-6 for w in solve(p)])
+    monkeypatch.setattr(zerofind, "_winding", spy)
+    with root_route() as outcomes:
+        assert search_zeros(TWO_TERM, 3.0) == expected
+    assert outcomes == ["residual"]
+    assert squares == [1]
+
+
+def test_the_root_route_claims_its_points_without_newton(monkeypatch):
+    # each claim is a root as the solve placed it, with no Newton step after
+    calls, newton = [], zerofind._newton_refine
+    monkeypatch.setattr(zerofind, "_newton_refine", lambda *a: calls.append(a) or newton(*a))
+    with root_route() as outcomes:
+        found = search_zeros(THREE_TERM, 5.1)
+    assert not isinstance(outcomes[0], str), outcomes
+    assert calls == []
+    assert zero_errors(THREE_TERM, found, "root") == []
+
+
+def test_simple_zeros_2e_4_apart_stay_on_the_root_route():
+    # (e(z) - 1)(e(z) - c) with c = exp(2 pi 2e-4): simple zeros at ik and
+    # 2e-4 + ik, beyond the merge reach of 1e-4.  Squares of a third of the
+    # gap wind 1 each, and the claims lie within 5e-14 of the zeros, which
+    # bisection's Newton points miss by about 3e-10
+    c = math.exp(2 * math.pi * 2e-4)
+    f = exp_sum([(c, 0), (-(1 + c), 1), (1, 2)])
+    with root_route() as outcomes:
+        found = search_zeros(f, 1.0)
+    assert not isinstance(outcomes[0], str), outcomes
+    ref = reference_zeros(f, found.height)
+    assert [m for _, m in ref] == [z.multiplicity for z in found.zeros] == [1, 1]
+    for z in found.zeros:
+        assert min(abs(z.location - r) for r, _ in ref) < 1e-12
 
 
 def test_an_image_above_the_degree_cap_bisects():
